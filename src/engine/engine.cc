@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -76,6 +77,39 @@ void DieOnStatus(const Status& status, const char* what) {
   std::fprintf(stderr, "session storage: %s: %s\n", what,
                status.ToString().c_str());
   std::abort();
+}
+
+// Box-query answering indexes corners with a uint32_t bit per attribute.
+constexpr int kMaxBoxAttributes = 30;
+
+// Inclusion-exclusion over the 2^k corners of the box [lo, hi] in a
+// k-dimensional summed-area table with row-major `strides`: corner bit i
+// picks the (lo_i - 1) face; a corner with any coordinate -1 contributes
+// zero. `cell(index)` reads one summed-area cell, so a query costs at most
+// 2^k cell reads (and, on the mmap backend, 2^k tile touches) no matter
+// how large the table is.
+template <typename Cell>
+double CornerSum(int k, const int64_t* lo, const int64_t* hi,
+                 const int64_t* strides, const Cell& cell) {
+  double total = 0.0;
+  const uint32_t corners = 1u << k;
+  for (uint32_t mask = 0; mask < corners; ++mask) {
+    int64_t index = 0;
+    bool outside = false;
+    for (int i = 0; i < k && !outside; ++i) {
+      const int64_t coord = (mask >> i) & 1u ? lo[i] - 1 : hi[i];
+      if (coord < 0) {
+        outside = true;
+      } else {
+        index += coord * strides[i];
+      }
+    }
+    if (outside) continue;
+    const bool negate = __builtin_popcount(mask) & 1;
+    const double term = cell(index);
+    total += negate ? -term : term;
+  }
+  return total;
 }
 
 // Resolves the session's private storage directory: mmap sessions with no
@@ -243,7 +277,8 @@ MeasurementSession::~MeasurementSession() {
 
 void MeasurementSession::InitStrides() {
   const int d = domain_.NumAttributes();
-  HDMM_CHECK_MSG(d <= 30, "box-query answering supports at most 30 attributes");
+  HDMM_CHECK_MSG(d <= kMaxBoxAttributes,
+                 "box-query answering supports at most 30 attributes");
   strides_.assign(static_cast<size_t>(d), 1);
   for (int i = d - 2; i >= 0; --i) {
     strides_[static_cast<size_t>(i)] =
@@ -254,7 +289,7 @@ void MeasurementSession::InitStrides() {
 // Splits the raw measurement vector back into per-mask tables (Apply
 // concatenates them in ActiveMasks order, each laid out row-major over the
 // kept attributes) and unscales by theta so each table is the unbiased DP
-// estimate of its marginal.
+// estimate of its marginal. Each table then gets its summed-area table.
 void MeasurementSession::BuildMarginalTables(const MarginalsStrategy& strategy,
                                              const Vector& y) {
   const Vector& theta = strategy.theta();
@@ -284,6 +319,22 @@ void MeasurementSession::BuildMarginalTables(const MarginalsStrategy& strategy,
           y[offset + static_cast<size_t>(i)] / weight;
     }
     offset += table.values.size();
+    // One prefix pass per kept axis, innermost first like the x_hat seam
+    // pass. Axis i splits the table into blocks of size_i rows of stride_i
+    // cells; each row past the first adds the (already summed) row before
+    // it. Block loops keep per-cell division and modulo out of the pass.
+    table.prefix = table.values;
+    double* prefix = table.prefix.data();
+    for (int i = static_cast<int>(table.attrs.size()) - 1; i >= 0; --i) {
+      const int64_t stride = table.strides[static_cast<size_t>(i)];
+      const int64_t block =
+          stride * domain_.AttributeSize(table.attrs[static_cast<size_t>(i)]);
+      for (int64_t base = 0; base < cells; base += block) {
+        for (int64_t t = base + stride; t < base + block; ++t) {
+          prefix[t] += prefix[t - stride];
+        }
+      }
+    }
     marginal_tables_.push_back(std::move(table));
   }
   HDMM_CHECK(offset == y.size());
@@ -442,32 +493,43 @@ bool MeasurementSession::CoveredByMarginal(const BoxQuery& q) const {
   return CoveringTable(q) != nullptr;
 }
 
-// Sums the table over the query's sub-box (odometer over the kept
-// attributes). Cost is the number of covered marginal cells — independent of
-// the full domain size, which is the point of serving from marginal tables.
+// Corners when the box has more cells than the table has corners, else
+// the direct sum (see the declaration for why small boxes stay direct).
 double MeasurementSession::AnswerFromTable(const MeasuredMarginal& table,
                                            const BoxQuery& q) const {
-  const size_t k = table.attrs.size();
-  std::vector<int64_t> coord(k);
-  int64_t index = 0;
-  for (size_t i = 0; i < k; ++i) {
-    coord[i] = q.lo[static_cast<size_t>(table.attrs[i])];
-    index += coord[i] * table.strides[i];
+  const int k = static_cast<int>(table.attrs.size());
+  std::array<int64_t, kMaxBoxAttributes> lo{}, hi{};
+  int64_t box_cells = 1;
+  int64_t index = 0;  // The box's first cell in the table.
+  for (int i = 0; i < k; ++i) {
+    const size_t t = static_cast<size_t>(i);
+    const size_t attr = static_cast<size_t>(table.attrs[t]);
+    lo[t] = q.lo[attr];
+    hi[t] = q.hi[attr];
+    box_cells *= hi[t] - lo[t] + 1;
+    index += lo[t] * table.strides[t];
   }
+  if (box_cells > (int64_t{1} << k)) {
+    const double* prefix = table.prefix.data();
+    return CornerSum(k, lo.data(), hi.data(), table.strides.data(),
+                     [prefix](int64_t cell) { return prefix[cell]; });
+  }
+
+  // Odometer over the box's cells on the kept attributes.
+  std::array<int64_t, kMaxBoxAttributes> coord = lo;
   double total = 0.0;
   while (true) {
     total += table.values[static_cast<size_t>(index)];
-    size_t axis = k;
+    int axis = k;
     while (axis > 0) {
-      const size_t i = axis - 1;
-      const int attr = table.attrs[i];
-      if (coord[i] < q.hi[static_cast<size_t>(attr)]) {
+      const size_t i = static_cast<size_t>(axis - 1);
+      if (coord[i] < hi[i]) {
         ++coord[i];
         index += table.strides[i];
         break;
       }
-      index -= (coord[i] - q.lo[static_cast<size_t>(attr)]) * table.strides[i];
-      coord[i] = q.lo[static_cast<size_t>(attr)];
+      index -= (coord[i] - lo[i]) * table.strides[i];
+      coord[i] = lo[i];
       --axis;
     }
     if (axis == 0) break;
@@ -499,32 +561,9 @@ double MeasurementSession::AnswerImpl(const BoxQuery& q) const {
     return AnswerFromTable(*table, q);
   }
 
-  // Inclusion-exclusion over the 2^d box corners: corner bit i picks the
-  // (lo_i - 1) face; a corner with any coordinate -1 contributes zero. Each
-  // corner is one summed-area-table cell, so the mmap backend touches at
-  // most 2^d tiles per query no matter how large the domain is.
   EnsureMaterialized();
-  double total = 0.0;
-  const uint32_t corners = 1u << d;
-  for (uint32_t mask = 0; mask < corners; ++mask) {
-    int64_t index = 0;
-    bool outside = false;
-    for (int i = 0; i < d && !outside; ++i) {
-      const int64_t coord = (mask >> i) & 1u
-                                ? q.lo[static_cast<size_t>(i)] - 1
-                                : q.hi[static_cast<size_t>(i)];
-      if (coord < 0) {
-        outside = true;
-      } else {
-        index += coord * strides_[static_cast<size_t>(i)];
-      }
-    }
-    if (outside) continue;
-    const bool negate = __builtin_popcount(mask) & 1;
-    const double term = PrefixAt(index);
-    total += negate ? -term : term;
-  }
-  return total;
+  return CornerSum(d, q.lo.data(), q.hi.data(), strides_.data(),
+                   [this](int64_t index) { return PrefixAt(index); });
 }
 
 Vector MeasurementSession::AnswerBatch(
@@ -604,11 +643,8 @@ void MeasurementSession::HibernateStores() {
   if (auto* prefix = dynamic_cast<MmapTileStore*>(prefix_store_.get())) {
     prefix->SetHotTileBudget(0);
   }
-  // Drop the XHat() densification cache too — it is a debugging affordance,
-  // rebuilt on demand, and under memory pressure it is pure ballast.
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  xhat_dense_.clear();
-  xhat_dense_.shrink_to_fit();
+  // The XHat() densification cache stays: callers hold references into it,
+  // and the governor (which may call this from any thread) never charged it.
 }
 
 void MeasurementSession::WakeStores() {

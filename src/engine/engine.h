@@ -10,12 +10,16 @@
 //               the release for unlimited free post-processing.
 //   AnswerBatch pool-parallel batched answering of point/range/marginal
 //               queries. Sessions measured with a marginals strategy answer
-//               covered queries directly from the measured marginal tables
-//               (no full-domain reconstruction needed); everything else — and
-//               uncovered queries — goes through a d-dimensional summed-area
-//               table of x_hat (inclusion-exclusion over 2^d corners), built
-//               lazily on first use, so a batch never densifies a workload
-//               matrix and per-query cost is O(2^d) instead of O(N).
+//               covered queries directly from the smallest covering measured
+//               marginal table — inclusion-exclusion over the 2^k corners of
+//               that table's own k-dimensional summed-area table, or a
+//               direct sum when the box has no more cells than corners — so
+//               no full-domain reconstruction is needed; everything else —
+//               and uncovered queries — goes through a d-dimensional
+//               summed-area table of x_hat (inclusion-exclusion over 2^d
+//               corners), built lazily on first use, so a batch never
+//               densifies a workload matrix and per-query cost is O(2^d)
+//               instead of O(N).
 //
 // Everything downstream of Measure is post-processing of a differentially
 // private release: answering any number of queries from a session consumes
@@ -84,17 +88,22 @@ struct MeasuredMarginal {
   std::vector<int> attrs;        ///< Kept attributes, ascending.
   std::vector<int64_t> strides;  ///< Per kept attribute, within the table.
   Vector values;                 ///< Product of kept sizes entries.
+  /// The k-dimensional summed-area table of `values` (same layout): entry t
+  /// is the sum of `values` over the box [0, t] on every kept attribute.
+  Vector prefix;
 };
 
 /// One noisy measurement of a dataset and the state needed to answer
 /// queries from it. Two shapes:
 ///
 ///   - generic: holds the reconstructed x_hat (and its summed-area table).
-///   - marginals-measured: holds the measured marginal tables; box queries
+///   - marginals-measured: holds the measured marginal tables, each with
+///     its own summed-area table built once at construction; box queries
 ///     whose constrained attributes are covered by an active marginal are
-///     answered by summing the (smallest covering) table directly, and the
-///     full x_hat + summed-area table is only reconstructed — lazily, once,
-///     thread-safely — if an uncovered query arrives.
+///     answered from the smallest covering table in O(2^k) for its k kept
+///     attributes (see AnswerFromTable), and the full x_hat + summed-area
+///     table is only reconstructed — lazily, once, thread-safely — if an
+///     uncovered query arrives.
 ///
 /// Both full-domain vectors (x_hat and its summed-area table) live in
 /// DataVectorStores selected by SessionStorageOptions: the in-memory backend
@@ -163,6 +172,9 @@ class MeasurementSession : public GovernedSession {
   /// a marginals-measured session. On the mmap backend this densifies the
   /// whole vector into RAM (cached) — a debugging/accuracy-check affordance,
   /// not the serving path; callers that only answer queries never pay it.
+  /// The returned reference stays valid for the session's lifetime: the
+  /// densified copy, once built, is never dropped (not even by
+  /// HibernateStores, which the governor may call from any thread).
   const Vector& XHat() const;
 
   /// The storage configuration this session was built with (dir resolved).
@@ -174,7 +186,8 @@ class MeasurementSession : public GovernedSession {
   }
 
   /// Answers one box query: from the smallest covering measured marginal
-  /// when one exists, else in O(2^d) from the summed-area table.
+  /// when one exists (O(2^k) corners of its summed-area table, see
+  /// AnswerFromTable), else in O(2^d) from the summed-area table of x_hat.
   double Answer(const BoxQuery& q) const;
 
   /// Answers a batch, sharded across the persistent ThreadPool.
@@ -192,7 +205,7 @@ class MeasurementSession : public GovernedSession {
 
   /// Governor hooks (GovernedSession). Hibernation only applies to mmap
   /// sessions whose stores exist; both calls are idempotent and safe
-  /// against concurrent answering.
+  /// against concurrent answering and against live XHat() references.
   bool Hibernatable() const override;
   void HibernateStores() override;
   void WakeStores() override;
@@ -222,6 +235,12 @@ class MeasurementSession : public GovernedSession {
   /// batch at the AnswerBatchOr entry, keeping the per-query loop free of
   /// the ticket's shared counter.
   double AnswerImpl(const BoxQuery& q) const;
+  /// Sums `table` over the query's box on its kept attributes. Boxes with
+  /// more cells than the table has corners (2^k) are answered from the
+  /// 2^k corners of `table.prefix`; smaller boxes — every point query
+  /// among them — are summed cell by cell from `table.values`. That reads
+  /// no more cells, and keeps the low bits that corner terms of a large
+  /// table (prefix sums far above the box's own cells) would cancel away.
   double AnswerFromTable(const MeasuredMarginal& table,
                          const BoxQuery& q) const;
   /// Builds x_hat + summed-area stores on first use (marginals sessions
@@ -255,7 +274,9 @@ class MeasurementSession : public GovernedSession {
   mutable std::unique_ptr<DataVectorStore> prefix_store_;
   /// Non-null iff prefix_store_ is contiguous (memory backend fast path).
   mutable const double* prefix_contig_ = nullptr;
-  mutable Vector xhat_dense_;  // XHat() cache for the mmap backend.
+  /// XHat() cache for the mmap backend; never dropped once built, so the
+  /// reference XHat() returns lives as long as the session.
+  mutable Vector xhat_dense_;
 };
 
 struct EngineOptions {

@@ -1,13 +1,17 @@
 // Tiled data-vector storage: backend roundtrips, tiling edge cases (domain
 // smaller than one tile, tile size not dividing N), hot-tile eviction under
-// a one-tile budget, corruption quarantine, crash-at-seal recovery, and
+// a one-tile budget, corruption quarantine, crash-at-seal recovery,
 // memory-vs-mmap answer parity at the session layer (bit-identical answers
-// are the contract that makes the mmap backend a pure storage decision).
+// are the contract that makes the mmap backend a pure storage decision),
+// covered marginal answers against direct sums over their covering table,
+// and XHat() references surviving hibernation.
 #include "engine/tile_store.h"
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -274,6 +278,66 @@ std::vector<BoxQuery> AllBoxQueries(const Domain& d) {
   return partial;
 }
 
+// Checks every covered answer against a direct cell-by-cell sum over the
+// table the session answers it from (the smallest covering one, first on
+// ties): within 1e-9 of the box's absolute mass (at least 1) — the
+// benchmark's answer tolerance — and bit for bit on single-cell boxes.
+void ExpectCoveredAnswersMatchTableSums(const MeasurementSession& session,
+                                        const std::vector<BoxQuery>& queries,
+                                        const Vector& answers) {
+  ASSERT_EQ(answers.size(), queries.size());
+  const Domain& d = session.domain();
+  int covered = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const BoxQuery& box = queries[q];
+    if (!session.CoveredByMarginal(box)) continue;
+    ++covered;
+    uint32_t constrained = 0;
+    for (int a = 0; a < d.NumAttributes(); ++a) {
+      if (box.lo[static_cast<size_t>(a)] != 0 ||
+          box.hi[static_cast<size_t>(a)] != d.AttributeSize(a) - 1) {
+        constrained |= 1u << a;
+      }
+    }
+    const MeasuredMarginal* best = nullptr;
+    int64_t best_cells = 0;
+    for (const MeasuredMarginal& table : session.marginal_tables()) {
+      if ((constrained & ~table.mask) != 0) continue;
+      int64_t cells = 1;
+      for (int attr : table.attrs) {
+        cells *= box.hi[static_cast<size_t>(attr)] -
+                 box.lo[static_cast<size_t>(attr)] + 1;
+      }
+      if (best == nullptr || cells < best_cells) {
+        best = &table;
+        best_cells = cells;
+      }
+    }
+    ASSERT_NE(best, nullptr);
+    double want = 0.0;
+    double mass = 0.0;
+    for (int64_t t = 0; t < static_cast<int64_t>(best->values.size()); ++t) {
+      bool inside = true;
+      for (size_t i = 0; i < best->attrs.size(); ++i) {
+        const size_t attr = static_cast<size_t>(best->attrs[i]);
+        const int64_t coord =
+            (t / best->strides[i]) % d.AttributeSize(best->attrs[i]);
+        if (coord < box.lo[attr] || coord > box.hi[attr]) inside = false;
+      }
+      if (!inside) continue;
+      want += best->values[static_cast<size_t>(t)];
+      mass += std::fabs(best->values[static_cast<size_t>(t)]);
+    }
+    EXPECT_LE(std::fabs(answers[q] - want), 1e-9 * std::max(mass, 1.0))
+        << "query " << q << ": " << answers[q] << " vs " << want;
+    if (best_cells == 1) {
+      EXPECT_EQ(std::memcmp(&answers[q], &want, sizeof(double)), 0)
+          << "single-cell query " << q << ": " << answers[q] << " vs " << want;
+    }
+  }
+  EXPECT_GT(covered, 0);
+}
+
 TEST_F(TileStoreTest, GenericSessionAnswersBitIdenticalAcrossBackends) {
   const Domain d({3, 4, 5});
   Rng rng(1234);
@@ -339,6 +403,52 @@ TEST_F(TileStoreTest, MarginalsSessionLazyPathBitIdenticalAcrossBackends) {
   EXPECT_EQ(std::memcmp(from_memory.data(), from_mmap.data(),
                         from_memory.size() * sizeof(double)),
             0);
+  // Covered answers come from the tables' summed-area corners (boxes with
+  // more cells than corners) or direct sums; both stay within the
+  // benchmark's tolerance of the direct sum.
+  ExpectCoveredAnswersMatchTableSums(memory_session, queries, from_memory);
+
+  // A large cell (~1e7) beside small ones: every summed-area entry past it
+  // carries the offset, so corners of a box that misses it cancel ~1e7
+  // terms down to a few small cells. A corners-only path loses the small
+  // cells' low bits here; direct sums on small boxes keep them exact.
+  Rng rng(4242);
+  Vector offset_x(x.size());
+  for (double& v : offset_x) v = rng.Uniform(0.5, 3.0);
+  offset_x[0] = 1.0e7 + rng.Uniform(0.0, 1.0);
+  const Vector offset_y = strategy->Apply(offset_x);
+  MeasurementSession offset_memory(d, strategy, offset_y,
+                                   PrivacyCharge::Gaussian(1.0));
+  MeasurementSession offset_mmap(
+      d, strategy, offset_y, PrivacyCharge::Gaussian(1.0),
+      MmapStorage(FreshDir("parity_marginals_offset"), /*tile_bytes=*/5 * 8));
+  const Vector offset_memory_answers = offset_memory.AnswerBatch(queries);
+  const Vector offset_mmap_answers = offset_mmap.AnswerBatch(queries);
+  EXPECT_EQ(std::memcmp(offset_memory_answers.data(),
+                        offset_mmap_answers.data(),
+                        offset_memory_answers.size() * sizeof(double)),
+            0);
+  ExpectCoveredAnswersMatchTableSums(offset_memory, queries,
+                                     offset_memory_answers);
+}
+
+TEST_F(TileStoreTest, XHatReferenceSurvivesHibernation) {
+  // XHat() on an mmap session hands out a reference into a densified copy;
+  // the governor may hibernate the session afterwards, from any thread, and
+  // that must not free or shrink what the caller is still reading.
+  const Domain d({3, 4, 5});
+  const Vector x_hat = Ramp(d.TotalSize());
+  MeasurementSession session(
+      d, x_hat, PrivacyCharge::Laplace(1.0), nullptr,
+      MmapStorage(FreshDir("xhat_hibernate"), /*tile_bytes=*/7 * 8));
+  ASSERT_TRUE(session.Hibernatable());
+  const Vector& dense = session.XHat();
+  session.HibernateStores();
+  ASSERT_EQ(dense.size(), x_hat.size());
+  EXPECT_EQ(std::memcmp(dense.data(), x_hat.data(),
+                        x_hat.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(&session.XHat(), &dense);
 }
 
 TEST_F(TileStoreTest, StreamReconstructorMatchesClosedFormReconstruct) {
