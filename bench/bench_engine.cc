@@ -333,7 +333,8 @@ BatchTimings BenchBatch(const Domain& domain, int64_t num_queries) {
   Rng rng(11);
   Vector x_hat(static_cast<size_t>(domain.TotalSize()));
   for (double& v : x_hat) v = rng.Uniform(0.0, 50.0);
-  MeasurementSession session(domain, x_hat, 1.0, nullptr);
+  MeasurementSession session(domain, x_hat, PrivacyCharge::Laplace(1.0),
+                             nullptr);
 
   std::vector<BoxQuery> queries;
   queries.reserve(static_cast<size_t>(num_queries));

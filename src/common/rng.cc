@@ -50,12 +50,6 @@ double Rng::Laplace(double b) {
   return -b * sign * std::log(1.0 - 2.0 * std::fabs(u));
 }
 
-std::vector<double> Rng::LaplaceVector(int64_t n, double b) {
-  std::vector<double> out(static_cast<size_t>(n));
-  for (auto& v : out) v = Laplace(b);
-  return out;
-}
-
 std::vector<double> Rng::RademacherVector(int64_t n) {
   std::vector<double> out(static_cast<size_t>(n));
   for (auto& v : out) v = (Uniform() < 0.5) ? -1.0 : 1.0;

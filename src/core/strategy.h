@@ -88,8 +88,10 @@ class ExplicitStrategy : public Strategy {
 
   Matrix a_;
   std::string name_;
-  mutable Matrix pinv_;        // Cached lazily.
-  mutable bool have_pinv_ = false;
+  /// A^+, built once on first Reconstruct; strategies served from the
+  /// cache are shared, so concurrent measurements may race to build it.
+  mutable Matrix pinv_;
+  mutable std::once_flag pinv_once_;
 };
 
 /// A single Kronecker product A_1 x ... x A_d (the OPT_x output form).
@@ -120,7 +122,10 @@ class KronStrategy : public Strategy {
 
   std::vector<Matrix> factors_;
   std::string name_;
-  mutable std::vector<Matrix> pinvs_;  // Cached lazily.
+  /// Per-factor pseudo-inverses, built once on first Reconstruct (see
+  /// ExplicitStrategy::pinv_).
+  mutable std::vector<Matrix> pinvs_;
+  mutable std::once_flag pinvs_once_;
   /// Per-factor trace engines, built once (first SquaredError call): the
   /// factor Grams and their inverses stop being re-materialized per
   /// evaluation, so repeated error evaluations allocate nothing.

@@ -248,8 +248,8 @@ void BudgetAccountant::LoadLedger() {
       if (!ParseRecordLine(raw[i], v2, &record)) {
         // A malformed FINAL line with no trailing newline is the signature
         // of a crash mid-append. By the durable-before-spendable protocol
-        // the charge it describes was never acted on (TryCharge only
-        // returns after the full record is on disk), so dropping it cannot
+        // the charge it describes was never acted on (Charge only returns
+        // OK after the full record is on disk), so dropping it cannot
         // under-record; the canonical rewrite below truncates it away.
         if (i + 1 == raw.size() && !ends_with_newline) break;
         // Interior corruption is unrecoverable — silently skipping records
@@ -385,19 +385,6 @@ Status BudgetAccountant::Charge(const std::string& dataset,
   Metrics::GetGauge("accountant.remaining." + dataset)
       ->Set(ledger.spent >= ceiling ? 0.0 : ceiling - ledger.spent);
   return Status::Ok();
-}
-
-bool BudgetAccountant::TryCharge(const std::string& dataset,
-                                 const PrivacyCharge& charge,
-                                 std::string* why) {
-  const Status status = Charge(dataset, charge);
-  if (status.ok()) return true;
-  if (why != nullptr) *why = status.message();
-  return false;
-}
-
-bool BudgetAccountant::TryCharge(const std::string& dataset, double epsilon) {
-  return TryCharge(dataset, PrivacyCharge::Laplace(epsilon));
 }
 
 HDMM_REGISTER_CRASH_SITE("accountant.append.before");

@@ -15,7 +15,7 @@
 //
 // Durability: the ceiling is only as durable as the ledger. With a
 // `ledger_path` every successful charge is appended, flushed, AND fsync'd to
-// disk before TryCharge returns — charges are durable before they are
+// disk before Charge returns — charges are durable before they are
 // spendable, so a crash can only over-record (refuse budget that was never
 // used), never under-record. Prior charges are replayed at construction.
 //
@@ -133,14 +133,6 @@ class BudgetAccountant {
   /// (half the record reaches disk), and `accountant.append.after_sync`
   /// SIGKILL mid-charge.
   Status Charge(const std::string& dataset, const PrivacyCharge& charge);
-
-  /// Bool-shaped wrapper over Charge(): true on OK, otherwise false with
-  /// the status message in *why.
-  bool TryCharge(const std::string& dataset, const PrivacyCharge& charge,
-                 std::string* why = nullptr);
-
-  /// Laplace shorthand: TryCharge(dataset, PrivacyCharge::Laplace(epsilon)).
-  bool TryCharge(const std::string& dataset, double epsilon);
 
   /// Budget already consumed by `dataset` in regime units (epsilon for
   /// pure-dp, rho for zcdp); 0 for unknown datasets.

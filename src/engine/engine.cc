@@ -16,8 +16,6 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/gaussian.h"
-#include "core/gram_cache.h"
-#include "linalg/cholesky.h"
 
 namespace hdmm {
 
@@ -201,13 +199,6 @@ bool ParseQueryLine(const std::string& line, const Domain& domain,
 }
 
 // --------------------------------------------------------------- session --
-
-MeasurementSession::MeasurementSession(
-    Domain domain, Vector x_hat, double epsilon,
-    std::shared_ptr<const Strategy> strategy, SessionStorageOptions storage)
-    : MeasurementSession(std::move(domain), std::move(x_hat),
-                         PrivacyCharge::Laplace(epsilon), std::move(strategy),
-                         std::move(storage)) {}
 
 MeasurementSession::MeasurementSession(
     Domain domain, Vector x_hat, PrivacyCharge charge,
@@ -676,20 +667,6 @@ const char* PlanSourceName(PlanSource source) {
   return "unknown";
 }
 
-MeasureRequest MeasureRequest::Laplace(double epsilon) {
-  MeasureRequest request;
-  request.mechanism = Mechanism::kLaplace;
-  request.epsilon = epsilon;
-  return request;
-}
-
-MeasureRequest MeasureRequest::Gaussian(double rho) {
-  MeasureRequest request;
-  request.mechanism = Mechanism::kGaussian;
-  request.rho = rho;
-  return request;
-}
-
 namespace {
 
 BudgetAccountantOptions AccountantOptions(const EngineOptions& options) {
@@ -779,13 +756,9 @@ StatusOr<PlanResult> Engine::PlanOr(const UnionWorkload& w,
     return result;
   }
 
-  const GramCache::Stats gram_before = GramCache::Global().stats();
   HdmmOptions optimizer = options_.optimizer;
   optimizer.cancel = cancel;
   HdmmResult optimized = OptimizeStrategy(w, optimizer);
-  const GramCache::Stats gram_after = GramCache::Global().stats();
-  result.gram_cache_hits = gram_after.hits - gram_before.hits;
-  result.gram_cache_misses = gram_after.misses - gram_before.misses;
   if (optimized.cancelled) {
     // No side effects on a cancelled plan: the partial strategy is a
     // best-so-far, not the deterministic full-grid winner, so caching (or
@@ -808,44 +781,6 @@ StatusOr<PlanResult> Engine::PlanOr(const UnionWorkload& w,
   return result;
 }
 
-Vector Engine::Reconstruct(const Strategy& strategy, const Fingerprint& fp,
-                           const Vector& y) {
-  // Explicit strategies: least squares through the normal equations with a
-  // per-fingerprint Cholesky factor of A^T A, computed once per engine and
-  // reused by every subsequent measurement of the same plan. Structured
-  // strategies (kron/union/marginals) reconstruct through their own
-  // closed-form pseudo-inverses, which are cached lazily on the shared
-  // strategy object the cache hands out — also reused across sessions.
-  const auto* explicit_strategy =
-      dynamic_cast<const ExplicitStrategy*>(&strategy);
-  if (explicit_strategy == nullptr) return strategy.Reconstruct(y);
-
-  std::shared_ptr<const Matrix> chol;
-  {
-    std::lock_guard<std::mutex> lock(recon_mu_);
-    auto it = recon_chol_.find(fp.value);
-    if (it != recon_chol_.end()) chol = it->second;
-  }
-  if (chol == nullptr) {
-    Matrix l;
-    if (!CholeskyFactor(Gram(explicit_strategy->matrix()), &l)) {
-      // Rank-deficient A: fall back to the strategy's own pinv path.
-      return strategy.Reconstruct(y);
-    }
-    auto owned = std::make_shared<const Matrix>(std::move(l));
-    std::lock_guard<std::mutex> lock(recon_mu_);
-    // Keep the factor store bounded by the same capacity as the strategy
-    // LRU: a long-lived engine serving many distinct explicit plans must
-    // not accumulate N^2-sized factors forever. Dropping them all is cheap
-    // to recover from (one re-factorization per live plan).
-    if (recon_chol_.size() >= std::max<size_t>(1, options_.cache.memory_capacity)) {
-      recon_chol_.clear();
-    }
-    chol = recon_chol_.emplace(fp.value, std::move(owned)).first->second;
-  }
-  return CholeskySolve(*chol, MatTVec(explicit_strategy->matrix(), y));
-}
-
 StatusOr<std::unique_ptr<MeasurementSession>> Engine::MeasureOr(
     const UnionWorkload& w, const std::string& dataset_id, const Vector& x,
     const MeasureRequest& request, Rng* rng, const CancelToken* cancel) {
@@ -857,6 +792,8 @@ StatusOr<std::unique_ptr<MeasurementSession>> Engine::MeasureOr(
   HDMM_CHECK_MSG(static_cast<int64_t>(x.size()) == w.DomainSize(),
                  "data vector length does not match the workload domain");
 
+  // Through the factories: a request built field by field gets the same
+  // positive-and-finite check, before anything is admitted or charged.
   const PrivacyCharge charge =
       request.mechanism == Mechanism::kLaplace
           ? PrivacyCharge::Laplace(request.epsilon)
@@ -889,9 +826,9 @@ StatusOr<std::unique_ptr<MeasurementSession>> Engine::MeasureOr(
     return charged.Annotated("dataset '" + dataset_id + "'");
   }
 
-  Vector y = request.mechanism == Mechanism::kLaplace
-                 ? plan.strategy->Measure(x, request.epsilon, rng)
-                 : plan.strategy->MeasureGaussian(x, request.rho, rng);
+  Vector y = charge.mechanism == Mechanism::kLaplace
+                 ? plan.strategy->Measure(x, charge.epsilon, rng)
+                 : plan.strategy->MeasureGaussian(x, charge.rho, rng);
 
   // Marginals plans serve covered queries straight from the measured
   // marginal tables; x_hat reconstruction is deferred until an uncovered
@@ -905,31 +842,15 @@ StatusOr<std::unique_ptr<MeasurementSession>> Engine::MeasureOr(
     return session;
   }
 
-  Vector x_hat = Reconstruct(*plan.strategy, plan.fingerprint, y);
+  // x_hat = A^+ y by the strategy itself. Kron and explicit strategies
+  // cache their pseudo-inverses on the shared cached object, so a plan
+  // builds them once however many sessions measure it.
+  Vector x_hat = plan.strategy->Reconstruct(y);
   auto session = std::make_unique<MeasurementSession>(
       w.domain(), std::move(x_hat), charge, plan.strategy, storage);
   session->AttachTicket(std::move(ticket));
   latency->Record(static_cast<uint64_t>(timer.Seconds() * 1e9));
   return session;
-}
-
-std::unique_ptr<MeasurementSession> Engine::Measure(
-    const UnionWorkload& w, const std::string& dataset_id, const Vector& x,
-    const MeasureRequest& request, Rng* rng, std::string* error) {
-  StatusOr<std::unique_ptr<MeasurementSession>> session =
-      MeasureOr(w, dataset_id, x, request, rng);
-  if (!session.ok()) {
-    if (error != nullptr) *error = session.status().message();
-    return nullptr;
-  }
-  return std::move(session).value();
-}
-
-std::unique_ptr<MeasurementSession> Engine::Measure(
-    const UnionWorkload& w, const std::string& dataset_id, const Vector& x,
-    double epsilon, Rng* rng, std::string* error) {
-  return Measure(w, dataset_id, x, MeasureRequest::Laplace(epsilon), rng,
-                 error);
 }
 
 }  // namespace hdmm

@@ -3,11 +3,13 @@
 //   Plan        optimize-or-cache — fingerprint the (workload, options) pair,
 //               consult the two-tier StrategyCache, and only fall back to
 //               OPT_HDMM on a genuine miss.
-//   Measure     one budgeted noisy measurement of a dataset: the accountant
+//   MeasureOr   one budgeted noisy measurement of a dataset: the accountant
 //               charges the measurement's privacy cost (epsilon under pure-dp
 //               sequential composition, rho under zCDP — refusing over-budget
-//               requests before any noise is drawn), then the session holds
-//               the release for unlimited free post-processing.
+//               requests before any noise is drawn), the plan's strategy
+//               reconstructs x_hat = A^+ y itself (marginals plans defer
+//               it), then the session holds the release for unlimited free
+//               post-processing.
 //   AnswerBatch pool-parallel batched answering of point/range/marginal
 //               queries. Sessions measured with a marginals strategy answer
 //               covered queries directly from the smallest covering measured
@@ -21,7 +23,7 @@
 //               densifies a workload matrix and per-query cost is O(2^d)
 //               instead of O(N).
 //
-// Everything downstream of Measure is post-processing of a differentially
+// Everything downstream of MeasureOr is post-processing of a differentially
 // private release: answering any number of queries from a session consumes
 // no additional budget.
 #ifndef HDMM_ENGINE_ENGINE_H_
@@ -126,12 +128,7 @@ struct MeasuredMarginal {
 /// for new admissions.
 class MeasurementSession : public GovernedSession {
  public:
-  /// Generic session over an already-reconstructed x_hat (Laplace charge).
-  MeasurementSession(Domain domain, Vector x_hat, double epsilon,
-                     std::shared_ptr<const Strategy> strategy,
-                     SessionStorageOptions storage = {});
-
-  /// Generic session with an explicit privacy charge.
+  /// Generic session over an already-reconstructed x_hat.
   MeasurementSession(Domain domain, Vector x_hat, PrivacyCharge charge,
                      std::shared_ptr<const Strategy> strategy,
                      SessionStorageOptions storage = {});
@@ -338,34 +335,18 @@ struct PlanResult {
   Fingerprint fingerprint;
   PlanSource source = PlanSource::kOptimized;
   double seconds = 0.0;  ///< Wall time spent inside Plan.
-  /// GramCache traffic observed during this plan's optimization window
-  /// (both zero on strategy-cache hits — the optimizer never ran). The
-  /// counters are deltas of the process-wide cache, so Plan calls running
-  /// concurrently see each other's traffic folded in; the numbers are
-  /// diagnostics for serial planning (benches, CLI), not an exact per-plan
-  /// attribution. A warm gram cache makes even a strategy-cache *miss*
-  /// substantially cheaper, since every recognized workload Gram is shared
-  /// across plan calls.
-  uint64_t gram_cache_hits = 0;
-  uint64_t gram_cache_misses = 0;
   /// Non-empty when a freshly optimized strategy could not be written
   /// through to the disk tier (the in-memory plan is still valid, but warm
   /// restarts will re-optimize until the directory is fixed).
   std::string cache_error;
 };
 
-/// One measurement request: which mechanism, at what cost.
-struct MeasureRequest {
-  Mechanism mechanism = Mechanism::kLaplace;
-  double epsilon = 0.0;  ///< Laplace budget; required for kLaplace.
-  double rho = 0.0;      ///< zCDP budget; required for kGaussian.
+/// One measurement request: which mechanism, at what cost —
+/// MeasureRequest::Laplace(eps) or MeasureRequest::Gaussian(rho).
+using MeasureRequest = PrivacyCharge;
 
-  static MeasureRequest Laplace(double epsilon);
-  static MeasureRequest Gaussian(double rho);
-};
-
-/// The serving facade. Thread-safe: Plan/Measure may be called concurrently;
-/// sessions returned by Measure are independent.
+/// The serving facade. Thread-safe: Plan/MeasureOr may be called
+/// concurrently; sessions returned by MeasureOr are independent.
 class Engine {
  public:
   explicit Engine(EngineOptions options);
@@ -374,49 +355,30 @@ class Engine {
   /// result; on a hit the optimization is skipped entirely.
   PlanResult Plan(const UnionWorkload& w);
 
-  /// Plan with a cooperative deadline/cancel. The token is polled before
-  /// the cache lookup, before each restart job, and once per L-BFGS-B
-  /// iteration inside the optimizer, so a ~0.5 s cold plan stops within
-  /// a few milliseconds of the deadline. A cancelled plan has no side
-  /// effects: the abandoned partial strategy is never cached (it is a
-  /// best-so-far, not the deterministic grid winner) and never returned.
-  /// Null `cancel` never fails. Strategy selection is data-independent, so
-  /// cancelling a plan costs nothing but the wasted CPU.
-  StatusOr<PlanResult> PlanOr(const UnionWorkload& w,
-                              const CancelToken* cancel);
-
   /// Plans, charges the request's cost against `dataset_id`, measures the
   /// data vector `x` with the requested mechanism, and builds a session
-  /// (marginal-table-backed when the plan is a marginals strategy measured
-  /// under Gaussian/Laplace noise; x_hat-backed otherwise). A non-OK
-  /// status carries the accountant's refusal — kOverBudget, the regime
-  /// mismatch as kFailedPrecondition, or a ledger-append kIoError; the
-  /// governor's refusal (kResourceExhausted with a retry_after_ms hint);
-  /// or the token's kDeadlineExceeded. No noise is drawn and no budget is
-  /// charged in any refused case — admission and cancellation are checked
-  /// *before* the accountant, and the accountant refuses before drawing —
-  /// and the engine (its cache, accountant, and any previously measured
-  /// sessions) remains fully serviceable afterwards.
+  /// (marginal-table-backed when the plan is a marginals strategy;
+  /// otherwise x_hat-backed, reconstructed by Strategy::Reconstruct). A
+  /// non-OK status carries the accountant's refusal — kOverBudget, the
+  /// regime mismatch as kFailedPrecondition, or a ledger-append kIoError;
+  /// the governor's refusal (kResourceExhausted with a retry_after_ms
+  /// hint); or the token's kDeadlineExceeded. No noise is drawn and no
+  /// budget is charged in any refused case — admission and cancellation
+  /// are checked *before* the accountant, and the accountant refuses
+  /// before drawing — and the engine (its cache, accountant, and any
+  /// previously measured sessions) remains fully serviceable afterwards.
+  /// Dies unless the request's epsilon (Laplace) or rho (Gaussian) is
+  /// positive and finite.
+  ///
+  /// The token also bounds the plan step: it is polled before the cache
+  /// lookup, before each restart job, and once per L-BFGS-B iteration, so
+  /// a ~0.5 s cold plan stops within a few milliseconds of the deadline.
+  /// The abandoned partial strategy is never cached (it is a best-so-far,
+  /// not the deterministic grid winner). Null `cancel` never stops.
   StatusOr<std::unique_ptr<MeasurementSession>> MeasureOr(
       const UnionWorkload& w, const std::string& dataset_id, const Vector& x,
       const MeasureRequest& request, Rng* rng,
       const CancelToken* cancel = nullptr);
-
-  /// Pointer-shaped wrapper over MeasureOr: nullptr (with *error holding
-  /// the status message) on refusal.
-  std::unique_ptr<MeasurementSession> Measure(const UnionWorkload& w,
-                                              const std::string& dataset_id,
-                                              const Vector& x,
-                                              const MeasureRequest& request,
-                                              Rng* rng,
-                                              std::string* error = nullptr);
-
-  /// Laplace shorthand (the pre-zCDP interface).
-  std::unique_ptr<MeasurementSession> Measure(const UnionWorkload& w,
-                                              const std::string& dataset_id,
-                                              const Vector& x, double epsilon,
-                                              Rng* rng,
-                                              std::string* error = nullptr);
 
   BudgetAccountant& accountant() { return accountant_; }
   StrategyCache& cache() { return cache_; }
@@ -427,18 +389,15 @@ class Engine {
   ResourceGovernor* governor() { return governor_.get(); }
 
  private:
-  /// x_hat from noisy answers, reusing a per-fingerprint Cholesky factor of
-  /// A^T A for explicit strategies (structured strategies reconstruct
-  /// through their own cached pseudo-inverses on the shared object).
-  Vector Reconstruct(const Strategy& strategy, const Fingerprint& fp,
-                     const Vector& y);
+  /// Plan with a cooperative stop (see MeasureOr); fails only with the
+  /// token's kDeadlineExceeded, so Plan passes null and cannot fail.
+  StatusOr<PlanResult> PlanOr(const UnionWorkload& w,
+                              const CancelToken* cancel);
 
   EngineOptions options_;
   StrategyCache cache_;
   BudgetAccountant accountant_;
   std::shared_ptr<ResourceGovernor> governor_;
-  std::mutex recon_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const Matrix>> recon_chol_;
 };
 
 }  // namespace hdmm

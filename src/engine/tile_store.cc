@@ -395,11 +395,6 @@ StatusOr<TileRef> MmapTileStore::Tile(int64_t tile) const {
   return TileRef(std::move(mapped).value(), TileCells(tile));
 }
 
-int64_t MmapTileStore::HotBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hot_bytes_;
-}
-
 int64_t MmapTileStore::HotTiles() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int64_t>(hot_.size());

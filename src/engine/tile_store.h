@@ -189,8 +189,6 @@ class MmapTileStore : public DataVectorStore {
   StatusOr<TileRef> Tile(int64_t tile) const override;
 
   const std::string& dir() const { return dir_; }
-  /// Bytes currently counted against the hot-tile budget.
-  int64_t HotBytes() const;
   /// Tiles currently in the hot set.
   int64_t HotTiles() const;
   int64_t hot_tile_budget() const;

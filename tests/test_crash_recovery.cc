@@ -61,7 +61,9 @@ CrashResult CrashChargingChild(const std::string& ledger,
   return RunCrashChild(spec, [&ledger](const std::function<void()>& ack) {
     BudgetAccountant accountant(100.0, ledger);
     for (int i = 0; i < kAttempts; ++i) {
-      if (!accountant.TryCharge("census", kEps)) break;
+      if (!accountant.Charge("census", PrivacyCharge::Laplace(kEps)).ok()) {
+        break;
+      }
       ack();
     }
   });
@@ -210,7 +212,7 @@ TEST(FlockBackoff, RetriesThroughInjectedContention) {
     options.ledger_path = dir + "/budget.ledger";
     options.lock_timeout_ms = 5000;
     BudgetAccountant accountant(options);
-    EXPECT_TRUE(accountant.TryCharge("d", 0.5));
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(0.5)).ok());
   }
   EXPECT_GE(Failpoints::HitCount("accountant.flock.busy"), 4u);
   Failpoints::Deactivate("accountant.flock.busy");
@@ -222,7 +224,7 @@ TEST(FlockBackoff, WaitsOutARealHolderReleasingWithinDeadline) {
   const std::string dir = FreshDir("flock_real");
   const std::string ledger = dir + "/budget.ledger";
   auto first = std::make_unique<BudgetAccountant>(1.0, ledger);
-  EXPECT_TRUE(first->TryCharge("census", 0.6));
+  EXPECT_TRUE(first->Charge("census", PrivacyCharge::Laplace(0.6)).ok());
   std::thread releaser([&first] {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     first.reset();  // Destructor releases the flock.
@@ -234,7 +236,8 @@ TEST(FlockBackoff, WaitsOutARealHolderReleasingWithinDeadline) {
   BudgetAccountant second(options);  // Blocks in backoff until the release.
   releaser.join();
   EXPECT_NEAR(second.Spent("census"), 0.6, 1e-12);
-  EXPECT_FALSE(second.TryCharge("census", 0.5));
+  EXPECT_EQ(second.Charge("census", PrivacyCharge::Laplace(0.5)).code(),
+            StatusCode::kOverBudget);
 }
 
 // --------------------------------------------- injected I/O errors (no fork) --
@@ -245,14 +248,14 @@ TEST(InjectedFailure, AppendIoErrorRefusesChargeWithoutRecordingIt) {
   ASSERT_TRUE(Failpoints::Activate("accountant.append.io_error", "nth:2"));
   {
     BudgetAccountant accountant(10.0, ledger);
-    EXPECT_TRUE(accountant.TryCharge("d", 1.0));
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(1.0)).ok());
     // The injected failure refuses the charge as kIoError, spends nothing.
     const Status status = accountant.Charge("d", PrivacyCharge::Laplace(1.0));
     EXPECT_EQ(status.code(), StatusCode::kIoError);
     EXPECT_NEAR(accountant.Spent("d"), 1.0, 1e-12);
     // The accountant is not wedged: the rollback restored the record
     // boundary, so the next charge lands cleanly.
-    EXPECT_TRUE(accountant.TryCharge("d", 1.0));
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(1.0)).ok());
     EXPECT_NEAR(accountant.Spent("d"), 2.0, 1e-12);
   }
   Failpoints::Deactivate("accountant.append.io_error");

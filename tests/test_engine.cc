@@ -391,25 +391,28 @@ TEST(StrategyCache, DiskTierReenablesAfterRecoveryProbe) {
 
 TEST(Accountant, SequentialCompositionLedger) {
   BudgetAccountant accountant(1.0);
-  EXPECT_TRUE(accountant.TryCharge("census", 0.25));
-  EXPECT_TRUE(accountant.TryCharge("census", 0.5));
+  EXPECT_TRUE(accountant.Charge("census", PrivacyCharge::Laplace(0.25)).ok());
+  EXPECT_TRUE(accountant.Charge("census", PrivacyCharge::Laplace(0.5)).ok());
   EXPECT_NEAR(accountant.Spent("census"), 0.75, 1e-15);
   EXPECT_NEAR(accountant.Remaining("census"), 0.25, 1e-15);
   // Over budget: refused, ledger unchanged.
-  EXPECT_FALSE(accountant.TryCharge("census", 0.5));
+  EXPECT_EQ(accountant.Charge("census", PrivacyCharge::Laplace(0.5)).code(),
+            StatusCode::kOverBudget);
   EXPECT_NEAR(accountant.Spent("census"), 0.75, 1e-15);
   EXPECT_EQ(accountant.NumCharges("census"), 2);
   // Exactly exhausting the budget is allowed.
-  EXPECT_TRUE(accountant.TryCharge("census", 0.25));
-  EXPECT_FALSE(accountant.TryCharge("census", 1e-9));
+  EXPECT_TRUE(accountant.Charge("census", PrivacyCharge::Laplace(0.25)).ok());
+  EXPECT_EQ(accountant.Charge("census", PrivacyCharge::Laplace(1e-9)).code(),
+            StatusCode::kOverBudget);
   EXPECT_EQ(accountant.Remaining("census"), 0.0);
 }
 
 TEST(Accountant, DatasetsAreIndependent) {
   BudgetAccountant accountant(0.5);
-  EXPECT_TRUE(accountant.TryCharge("a", 0.5));
-  EXPECT_FALSE(accountant.TryCharge("a", 0.1));
-  EXPECT_TRUE(accountant.TryCharge("b", 0.5));
+  EXPECT_TRUE(accountant.Charge("a", PrivacyCharge::Laplace(0.5)).ok());
+  EXPECT_EQ(accountant.Charge("a", PrivacyCharge::Laplace(0.1)).code(),
+            StatusCode::kOverBudget);
+  EXPECT_TRUE(accountant.Charge("b", PrivacyCharge::Laplace(0.5)).ok());
   EXPECT_EQ(accountant.Spent("unknown"), 0.0);
   EXPECT_NEAR(accountant.Remaining("unknown"), 0.5, 1e-15);
 }
@@ -419,9 +422,11 @@ TEST(Accountant, ToleratesFloatingPointSplits) {
   // accumulation rounding.
   BudgetAccountant accountant(1.0);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(accountant.TryCharge("d", 0.1)) << "slice " << i;
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(0.1)).ok())
+        << "slice " << i;
   }
-  EXPECT_FALSE(accountant.TryCharge("d", 0.01));
+  EXPECT_EQ(accountant.Charge("d", PrivacyCharge::Laplace(0.01)).code(),
+            StatusCode::kOverBudget);
 }
 
 TEST(Accountant, LedgerSurvivesRestart) {
@@ -430,8 +435,9 @@ TEST(Accountant, LedgerSurvivesRestart) {
       std::filesystem::path(path).parent_path());
   {
     BudgetAccountant accountant(1.0, path);
-    EXPECT_TRUE(accountant.TryCharge("census data.csv", 0.6));
-    EXPECT_TRUE(accountant.TryCharge("other", 0.25));
+    EXPECT_TRUE(
+        accountant.Charge("census data.csv", PrivacyCharge::Laplace(0.6)).ok());
+    EXPECT_TRUE(accountant.Charge("other", PrivacyCharge::Laplace(0.25)).ok());
   }
   // A fresh accountant (new process in real life) replays the ledger: the
   // ceiling holds across restarts instead of resetting to the full budget.
@@ -440,8 +446,11 @@ TEST(Accountant, LedgerSurvivesRestart) {
     BudgetAccountant restarted(1.0, path);
     EXPECT_NEAR(restarted.Spent("census data.csv"), 0.6, 1e-15);
     EXPECT_EQ(restarted.NumCharges("census data.csv"), 1);
-    EXPECT_FALSE(restarted.TryCharge("census data.csv", 0.5));
-    EXPECT_TRUE(restarted.TryCharge("census data.csv", 0.4));
+    EXPECT_EQ(
+        restarted.Charge("census data.csv", PrivacyCharge::Laplace(0.5)).code(),
+        StatusCode::kOverBudget);
+    EXPECT_TRUE(
+        restarted.Charge("census data.csv", PrivacyCharge::Laplace(0.4)).ok());
   }
   BudgetAccountant third(1.0, path);
   EXPECT_EQ(third.Remaining("census data.csv"), 0.0);
@@ -461,11 +470,17 @@ TEST(AccountantDeath, DiesOnCorruptLedger) {
 
 TEST(AccountantDeath, RejectsInvalidEpsilon) {
   BudgetAccountant accountant(1.0);
-  EXPECT_DEATH(accountant.TryCharge("d", 0.0), "positive and finite");
-  EXPECT_DEATH(accountant.TryCharge("d", -0.5), "positive and finite");
-  EXPECT_DEATH(accountant.TryCharge("d", std::nan("")), "positive and finite");
+  // Built by aggregate, not PrivacyCharge::Laplace, so the accountant's own
+  // check is the one that fires.
+  const auto laplace = [](double epsilon) {
+    return PrivacyCharge{Mechanism::kLaplace, epsilon};
+  };
+  EXPECT_DEATH(accountant.Charge("d", laplace(0.0)), "positive and finite");
+  EXPECT_DEATH(accountant.Charge("d", laplace(-0.5)), "positive and finite");
+  EXPECT_DEATH(accountant.Charge("d", laplace(std::nan(""))),
+               "positive and finite");
   EXPECT_DEATH(
-      accountant.TryCharge("d", std::numeric_limits<double>::infinity()),
+      accountant.Charge("d", laplace(std::numeric_limits<double>::infinity())),
       "positive and finite");
 }
 
@@ -486,12 +501,14 @@ TEST(Accountant, PerDatasetCeilingOverrides) {
   EXPECT_NEAR(accountant.Remaining("sensitive"), 0.4, 1e-15);
   // A charge the default ceiling would admit is refused on the overridden
   // dataset, admitted elsewhere; the refusal records nothing.
-  EXPECT_FALSE(accountant.TryCharge("sensitive", 0.6));
+  EXPECT_EQ(accountant.Charge("sensitive", PrivacyCharge::Laplace(0.6)).code(),
+            StatusCode::kOverBudget);
   EXPECT_EQ(accountant.Spent("sensitive"), 0.0);
-  EXPECT_TRUE(accountant.TryCharge("other", 0.6));
+  EXPECT_TRUE(accountant.Charge("other", PrivacyCharge::Laplace(0.6)).ok());
   // Exactly exhausting the override is allowed; one more dust charge isn't.
-  EXPECT_TRUE(accountant.TryCharge("sensitive", 0.4));
-  EXPECT_FALSE(accountant.TryCharge("sensitive", 1e-9));
+  EXPECT_TRUE(accountant.Charge("sensitive", PrivacyCharge::Laplace(0.4)).ok());
+  EXPECT_EQ(accountant.Charge("sensitive", PrivacyCharge::Laplace(1e-9)).code(),
+            StatusCode::kOverBudget);
   EXPECT_EQ(accountant.Remaining("sensitive"), 0.0);
   EXPECT_NEAR(accountant.Remaining("other"), 0.4, 1e-15);
 }
@@ -506,12 +523,13 @@ TEST(Accountant, PerDatasetCeilingSurvivesLedgerReplay) {
   options.ledger_path = path;
   {
     BudgetAccountant accountant(options);
-    EXPECT_TRUE(accountant.TryCharge("tight", 0.3));
+    EXPECT_TRUE(accountant.Charge("tight", PrivacyCharge::Laplace(0.3)).ok());
   }
   BudgetAccountant restarted(options);
   EXPECT_NEAR(restarted.Spent("tight"), 0.3, 1e-15);
-  EXPECT_FALSE(restarted.TryCharge("tight", 0.1));
-  EXPECT_TRUE(restarted.TryCharge("loose", 0.9));
+  EXPECT_EQ(restarted.Charge("tight", PrivacyCharge::Laplace(0.1)).code(),
+            StatusCode::kOverBudget);
+  EXPECT_TRUE(restarted.Charge("loose", PrivacyCharge::Laplace(0.9)).ok());
 }
 
 TEST(AccountantDeath, RejectsInvalidDatasetCeiling) {
@@ -539,21 +557,22 @@ TEST(AccountantZCdp, ComposesRhoAdditively) {
   const double total_rho = 0.5;
   BudgetAccountant accountant(ZCdpOptions(total_rho));
   for (int i = 0; i < k; ++i) {
-    EXPECT_TRUE(accountant.TryCharge(
-        "census", PrivacyCharge::Gaussian(total_rho / k)))
+    EXPECT_TRUE(
+        accountant.Charge("census", PrivacyCharge::Gaussian(total_rho / k))
+            .ok())
         << "charge " << i;
   }
   EXPECT_NEAR(accountant.Spent("census"), total_rho, 1e-12);
-  std::string why;
-  EXPECT_FALSE(accountant.TryCharge(
-      "census", PrivacyCharge::Gaussian(total_rho / k), &why));
-  EXPECT_NE(why.find("budget exceeded"), std::string::npos);
+  const Status refused =
+      accountant.Charge("census", PrivacyCharge::Gaussian(total_rho / k));
+  EXPECT_EQ(refused.code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.message().find("budget exceeded"), std::string::npos);
   EXPECT_EQ(accountant.NumCharges("census"), k);
 }
 
 TEST(AccountantZCdp, ReportsBunSteinkeEpsilon) {
   BudgetAccountant accountant(ZCdpOptions(1.0));
-  EXPECT_TRUE(accountant.TryCharge("d", PrivacyCharge::Gaussian(0.25)));
+  EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Gaussian(0.25)).ok());
   // eps = rho + 2 sqrt(rho ln(1/delta)), the Bun-Steinke closed form.
   const double expected = 0.25 + 2.0 * std::sqrt(0.25 * std::log(1e6));
   EXPECT_NEAR(accountant.ReportedEpsilon("d"), expected, 1e-12);
@@ -565,9 +584,9 @@ TEST(AccountantZCdp, LaplaceChargesCostEpsilonSquaredOverTwo) {
   // Pure eps-DP => (eps^2/2)-zCDP: a Laplace measurement is accountable in
   // the zCDP regime, at quadratic cost.
   BudgetAccountant accountant(ZCdpOptions(1.0));
-  EXPECT_TRUE(accountant.TryCharge("d", PrivacyCharge::Laplace(1.0)));
+  EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(1.0)).ok());
   EXPECT_NEAR(accountant.Spent("d"), 0.5, 1e-15);
-  EXPECT_TRUE(accountant.TryCharge("d", 0.5));  // Shorthand overload.
+  EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(0.5)).ok());
   EXPECT_NEAR(accountant.Spent("d"), 0.625, 1e-15);
 }
 
@@ -581,10 +600,13 @@ TEST(AccountantZCdp, CeilingDerivedFromEpsilonDelta) {
   BudgetAccountant accountant(options);
   EXPECT_NEAR(accountant.TotalBudget(), RhoFromEpsilonDelta(2.0, 1e-9),
               1e-15);
-  EXPECT_TRUE(accountant.TryCharge(
-      "d", PrivacyCharge::Gaussian(accountant.TotalBudget())));
+  EXPECT_TRUE(
+      accountant
+          .Charge("d", PrivacyCharge::Gaussian(accountant.TotalBudget()))
+          .ok());
   EXPECT_NEAR(accountant.ReportedEpsilon("d"), 2.0, 1e-9);
-  EXPECT_FALSE(accountant.TryCharge("d", PrivacyCharge::Gaussian(1e-6)));
+  EXPECT_EQ(accountant.Charge("d", PrivacyCharge::Gaussian(1e-6)).code(),
+            StatusCode::kOverBudget);
 }
 
 TEST(AccountantZCdp, PureRegimeRefusesGaussianCharges) {
@@ -592,9 +614,9 @@ TEST(AccountantZCdp, PureRegimeRefusesGaussianCharges) {
   // refuse (softly — a serve-mode request must not abort the process), not
   // approximate.
   BudgetAccountant accountant(1.0);
-  std::string why;
-  EXPECT_FALSE(accountant.TryCharge("d", PrivacyCharge::Gaussian(0.1), &why));
-  EXPECT_NE(why.find("zcdp"), std::string::npos);
+  const Status refused = accountant.Charge("d", PrivacyCharge::Gaussian(0.1));
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("zcdp"), std::string::npos);
   EXPECT_EQ(accountant.Spent("d"), 0.0);
   EXPECT_EQ(accountant.NumCharges("d"), 0);
 }
@@ -618,10 +640,11 @@ TEST(AccountantLedger, V2RecordsMechanismAndRoundTrips) {
   const std::string path = LedgerPathIn("ledger_v2");
   {
     BudgetAccountant accountant(ZCdpOptions(1.0, path));
-    EXPECT_TRUE(accountant.TryCharge("census data.csv",
-                                     PrivacyCharge::Gaussian(0.25)));
-    EXPECT_TRUE(accountant.TryCharge("census data.csv",
-                                     PrivacyCharge::Laplace(0.5)));
+    EXPECT_TRUE(
+        accountant.Charge("census data.csv", PrivacyCharge::Gaussian(0.25))
+            .ok());
+    EXPECT_TRUE(
+        accountant.Charge("census data.csv", PrivacyCharge::Laplace(0.5)).ok());
   }
   const std::string content = ReadFile(path);
   EXPECT_EQ(content.rfind("hdmm-budget-ledger v2\n", 0), 0u) << content;
@@ -650,8 +673,11 @@ TEST(AccountantLedger, V1LedgerReplaysAndMigratesToV2) {
   EXPECT_NE(content.find("laplace 0.25 0 census data.csv"),
             std::string::npos)
       << content;
-  EXPECT_TRUE(accountant.TryCharge("census data.csv", 0.25));
-  EXPECT_FALSE(accountant.TryCharge("census data.csv", 0.01));
+  EXPECT_TRUE(
+      accountant.Charge("census data.csv", PrivacyCharge::Laplace(0.25)).ok());
+  EXPECT_EQ(
+      accountant.Charge("census data.csv", PrivacyCharge::Laplace(0.01)).code(),
+      StatusCode::kOverBudget);
 }
 
 TEST(AccountantLedger, TruncatedFinalLineIsCrashReplaySafe) {
@@ -670,8 +696,8 @@ TEST(AccountantLedger, TruncatedFinalLineIsCrashReplaySafe) {
     BudgetAccountant accountant(ZCdpOptions(1.0, path));
     EXPECT_NEAR(accountant.Spent("census.csv"), 0.03125, 1e-15);  // eps^2/2.
     EXPECT_EQ(accountant.NumCharges("census.csv"), 1);
-    EXPECT_TRUE(accountant.TryCharge("census.csv",
-                                     PrivacyCharge::Gaussian(0.25)));
+    EXPECT_TRUE(
+        accountant.Charge("census.csv", PrivacyCharge::Gaussian(0.25)).ok());
     const std::string content = ReadFile(path);
     EXPECT_EQ(content.find("1e-"), std::string::npos) << content;
   }
@@ -701,7 +727,7 @@ TEST(AccountantLedgerDeath, GaussianHistoryNeedsZCdpRegime) {
   const std::string path = LedgerPathIn("ledger_regime_mismatch");
   {
     BudgetAccountant accountant(ZCdpOptions(1.0, path));
-    EXPECT_TRUE(accountant.TryCharge("d", PrivacyCharge::Gaussian(0.25)));
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Gaussian(0.25)).ok());
   }
   EXPECT_DEATH(BudgetAccountant(1.0, path), "zcdp");
 }
@@ -712,7 +738,7 @@ TEST(AccountantLedgerDeath, FlockExcludesSecondAccountant) {
   // flock makes the second one die instead of double-spending.
   const std::string path = LedgerPathIn("ledger_flock");
   BudgetAccountant first(1.0, path);
-  EXPECT_TRUE(first.TryCharge("census", 0.6));
+  EXPECT_TRUE(first.Charge("census", PrivacyCharge::Laplace(0.6)).ok());
   // Short lock timeout: the lock is held for the whole test, so the default
   // backoff window would only slow the death down.
   BudgetAccountantOptions contended;
@@ -721,19 +747,21 @@ TEST(AccountantLedgerDeath, FlockExcludesSecondAccountant) {
   contended.lock_timeout_ms = 50;
   EXPECT_DEATH(BudgetAccountant{contended}, "locked by another");
   // The budget stays jointly bounded: only the lock holder can spend.
-  EXPECT_TRUE(first.TryCharge("census", 0.4));
-  EXPECT_FALSE(first.TryCharge("census", 0.1));
+  EXPECT_TRUE(first.Charge("census", PrivacyCharge::Laplace(0.4)).ok());
+  EXPECT_EQ(first.Charge("census", PrivacyCharge::Laplace(0.1)).code(),
+            StatusCode::kOverBudget);
 }
 
 TEST(AccountantLedger, FlockReleasedOnDestruction) {
   const std::string path = LedgerPathIn("ledger_flock_release");
   {
     BudgetAccountant first(1.0, path);
-    EXPECT_TRUE(first.TryCharge("census", 0.6));
+    EXPECT_TRUE(first.Charge("census", PrivacyCharge::Laplace(0.6)).ok());
   }
   BudgetAccountant second(1.0, path);  // Lock released: no death.
   EXPECT_NEAR(second.Spent("census"), 0.6, 1e-15);
-  EXPECT_FALSE(second.TryCharge("census", 0.5));
+  EXPECT_EQ(second.Charge("census", PrivacyCharge::Laplace(0.5)).code(),
+            StatusCode::kOverBudget);
 }
 
 // --- Laplace measurement validation ------------------------------------------
@@ -820,7 +848,7 @@ TEST(Session, AnswersMatchBruteForce) {
   Rng rng(23);
   Vector x(static_cast<size_t>(d.TotalSize()));
   for (double& v : x) v = rng.Uniform(-1.0, 3.0);
-  MeasurementSession session(d, x, 1.0, nullptr);
+  MeasurementSession session(d, x, PrivacyCharge::Laplace(1.0), nullptr);
 
   Rng qrng(29);
   for (int trial = 0; trial < 200; ++trial) {
@@ -843,7 +871,7 @@ TEST(Session, BatchMatchesSingleAnswers) {
   Rng rng(31);
   Vector x(static_cast<size_t>(d.TotalSize()));
   for (double& v : x) v = rng.Uniform(0.0, 10.0);
-  MeasurementSession session(d, x, 0.5, nullptr);
+  MeasurementSession session(d, x, PrivacyCharge::Laplace(0.5), nullptr);
 
   std::vector<BoxQuery> queries;
   for (int64_t a = 0; a < 4; ++a) {
@@ -932,18 +960,21 @@ TEST(Engine, BudgetLedgerPersistsAcrossEngines) {
   options.ledger_path = dir + "/budget.ledger";
   UnionWorkload w = SmallWorkload();
   Vector x(static_cast<size_t>(w.DomainSize()), 1.0);
-  std::string error;
   {
     Engine engine(options);
     Rng rng(51);
-    ASSERT_NE(engine.Measure(w, "d.csv", x, 0.8, &rng, &error), nullptr)
-        << error;
+    auto measured =
+        engine.MeasureOr(w, "d.csv", x, MeasureRequest::Laplace(0.8), &rng);
+    ASSERT_TRUE(measured.ok()) << measured.status().ToString();
   }
   Engine restarted(options);
   EXPECT_NEAR(restarted.accountant().Spent("d.csv"), 0.8, 1e-15);
   Rng rng(52);
-  EXPECT_EQ(restarted.Measure(w, "d.csv", x, 0.5, &rng, &error), nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  auto refused =
+      restarted.MeasureOr(w, "d.csv", x, MeasureRequest::Laplace(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
 }
 
 TEST(Engine, MeasureChargesAndRefuses) {
@@ -952,18 +983,21 @@ TEST(Engine, MeasureChargesAndRefuses) {
   Vector x(static_cast<size_t>(w.DomainSize()), 2.0);
   Rng rng(41);
 
-  std::string error;
-  auto first = engine.Measure(w, "census", x, 0.7, &rng, &error);
-  ASSERT_NE(first, nullptr) << error;
+  auto first =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Laplace(0.7), &rng);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_NEAR(engine.accountant().Spent("census"), 0.7, 1e-15);
 
-  auto refused = engine.Measure(w, "census", x, 0.5, &rng, &error);
-  EXPECT_EQ(refused, nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  auto refused =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Laplace(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
   EXPECT_NEAR(engine.accountant().Spent("census"), 0.7, 1e-15);
 
-  auto second = engine.Measure(w, "census", x, 0.3, &rng, &error);
-  ASSERT_NE(second, nullptr) << error;
+  auto second =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Laplace(0.3), &rng);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(engine.accountant().Remaining("census"), 0.0);
 }
 
@@ -976,17 +1010,20 @@ TEST(Engine, PerDatasetBudgetOverridesGateMeasure) {
   Rng rng(43);
 
   // 0.6 fits the fleet-wide ceiling but not the override.
-  std::string error;
-  auto refused = engine.Measure(w, "sensitive.csv", x, 0.6, &rng, &error);
-  EXPECT_EQ(refused, nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  auto refused = engine.MeasureOr(w, "sensitive.csv", x,
+                                  MeasureRequest::Laplace(0.6), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
   EXPECT_EQ(engine.accountant().Spent("sensitive.csv"), 0.0);
 
-  auto allowed = engine.Measure(w, "other.csv", x, 0.6, &rng, &error);
-  ASSERT_NE(allowed, nullptr) << error;
+  auto allowed =
+      engine.MeasureOr(w, "other.csv", x, MeasureRequest::Laplace(0.6), &rng);
+  ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
 
-  auto under = engine.Measure(w, "sensitive.csv", x, 0.4, &rng, &error);
-  ASSERT_NE(under, nullptr) << error;
+  auto under = engine.MeasureOr(w, "sensitive.csv", x,
+                                MeasureRequest::Laplace(0.4), &rng);
+  ASSERT_TRUE(under.ok()) << under.status().ToString();
   EXPECT_EQ(engine.accountant().Remaining("sensitive.csv"), 0.0);
   EXPECT_NEAR(engine.accountant().Remaining("other.csv"), 0.4, 1e-15);
 }
@@ -1018,9 +1055,10 @@ TEST(Engine, SessionAnswersApproximateTruthAtHighEpsilon) {
   Vector x(static_cast<size_t>(w.DomainSize()));
   for (double& v : x) v = std::floor(rng.Uniform(0.0, 20.0));
 
-  std::string error;
-  auto session = engine.Measure(w, "d", x, 1e6, &rng, &error);
-  ASSERT_NE(session, nullptr) << error;
+  auto measured =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Laplace(1e6), &rng);
+  ASSERT_TRUE(measured.ok()) << measured.status().ToString();
+  const auto& session = measured.value();
 
   std::vector<BoxQuery> queries;
   std::string parse_error;
@@ -1040,9 +1078,10 @@ TEST(Engine, SessionAnswersApproximateTruthAtHighEpsilon) {
   }
 }
 
-TEST(Engine, ExplicitStrategyReconstructionReusesCholesky) {
-  // An explicit-strategy plan goes through the engine's normal-equations
-  // path; answers must match the strategy's own pinv reconstruction.
+TEST(Engine, ExplicitStrategyPlanReconstructsThroughItsPseudoInverse) {
+  // An explicit-strategy plan reconstructs through the strategy's own
+  // cached pseudo-inverse, built by the first measurement and reused by the
+  // second; both recover x at negligible noise.
   UnionWorkload w = ParseWorkloadOrDie("domain x=6\nproduct x=prefix\n");
   EngineOptions options = FastEngineOptions();
   options.total_epsilon = 4e6;
@@ -1057,15 +1096,84 @@ TEST(Engine, ExplicitStrategyReconstructionReusesCholesky) {
 
   Rng rng(47);
   Vector x{5.0, 3.0, 8.0, 1.0, 0.0, 2.0};
-  std::string error;
-  auto s1 = engine.Measure(w, "d", x, 1e6, &rng, &error);
-  ASSERT_NE(s1, nullptr) << error;
-  auto s2 = engine.Measure(w, "d", x, 1e6, &rng, &error);  // Reuses factor.
-  ASSERT_NE(s2, nullptr) << error;
+  auto s1 = engine.MeasureOr(w, "d", x, MeasureRequest::Laplace(1e6), &rng);
+  ASSERT_TRUE(s1.ok()) << s1.status().ToString();
+  auto s2 = engine.MeasureOr(w, "d", x, MeasureRequest::Laplace(1e6), &rng);
+  ASSERT_TRUE(s2.ok()) << s2.status().ToString();
   for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(s1->XHat()[i], x[i], 1e-3);
-    EXPECT_NEAR(s2->XHat()[i], x[i], 1e-3);
+    EXPECT_NEAR(s1.value()->XHat()[i], x[i], 1e-3);
+    EXPECT_NEAR(s2.value()->XHat()[i], x[i], 1e-3);
   }
+}
+
+TEST(Engine, ConcurrentMeasuresOfOneCachedPlan) {
+  // The strategy cache hands every measurement of a plan the same strategy
+  // object, so the first concurrent measurements of a plan all reach its
+  // lazily built pseudo-inverse cache at once. Each round installs fresh
+  // strategies (empty caches) for a Kron plan and an explicit plan, then
+  // releases kThreads measurers together; every x_hat must reconstruct x.
+  struct CachedPlan {
+    UnionWorkload w;
+    Vector x;
+  };
+  std::vector<CachedPlan> plans;
+  plans.push_back({ParseWorkloadOrDie(
+                       "domain a=16 b=16\nproduct a=prefix b=identity\n"),
+                   Vector(256)});
+  plans.push_back({ParseWorkloadOrDie("domain x=6\nproduct x=prefix\n"),
+                   Vector(6)});
+  for (CachedPlan& plan : plans) {
+    for (size_t i = 0; i < plan.x.size(); ++i) {
+      plan.x[i] = static_cast<double>((i * 7) % 11);
+    }
+  }
+  EngineOptions options = FastEngineOptions();
+  options.total_epsilon = 1e12;
+  Engine engine(options);
+  const Fingerprint kron_fp = FingerprintPlan(plans[0].w, options.optimizer);
+  const Fingerprint explicit_fp =
+      FingerprintPlan(plans[1].w, options.optimizer);
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20;
+  std::atomic<int> failures{0};
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(engine.cache()
+                    .Put(kron_fp, std::make_shared<KronStrategy>(
+                                      std::vector<Matrix>{PrefixBlock(16),
+                                                          IdentityBlock(16)}))
+                    .ok());
+    ASSERT_TRUE(engine.cache()
+                    .Put(explicit_fp,
+                         std::make_shared<ExplicitStrategy>(PrefixBlock(6)))
+                    .ok());
+    std::atomic<int> waiting{kThreads};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(static_cast<uint64_t>(round * kThreads + t));
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) std::this_thread::yield();
+        for (const CachedPlan& plan : plans) {
+          auto session = engine.MeasureOr(plan.w, "d", plan.x,
+                                          MeasureRequest::Laplace(1e6), &rng);
+          if (!session.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          const Vector& x_hat = session.value()->XHat();
+          for (size_t i = 0; i < plan.x.size(); ++i) {
+            if (!(std::fabs(x_hat[i] - plan.x[i]) < 1e-3)) {
+              failures.fetch_add(1);
+              break;
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
 }
 
 // --- Gaussian measurement and marginal-table sessions ------------------------
@@ -1086,23 +1194,23 @@ TEST(Engine, GaussianMeasureChargesRhoAndRefusesOverBudget) {
   Vector x(static_cast<size_t>(w.DomainSize()), 2.0);
   Rng rng(61);
 
-  std::string error;
-  auto first = engine.Measure(w, "census", x, MeasureRequest::Gaussian(0.7),
-                              &rng, &error);
-  ASSERT_NE(first, nullptr) << error;
-  EXPECT_EQ(first->mechanism(), Mechanism::kGaussian);
-  EXPECT_EQ(first->rho(), 0.7);
+  auto first =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Gaussian(0.7), &rng);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value()->mechanism(), Mechanism::kGaussian);
+  EXPECT_EQ(first.value()->rho(), 0.7);
   EXPECT_NEAR(engine.accountant().Spent("census"), 0.7, 1e-15);
 
-  auto refused = engine.Measure(w, "census", x, MeasureRequest::Gaussian(0.5),
-                                &rng, &error);
-  EXPECT_EQ(refused, nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  auto refused =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Gaussian(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
   EXPECT_NEAR(engine.accountant().Spent("census"), 0.7, 1e-15);
 
-  auto second = engine.Measure(w, "census", x, MeasureRequest::Gaussian(0.3),
-                               &rng, &error);
-  ASSERT_NE(second, nullptr) << error;
+  auto second =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Gaussian(0.3), &rng);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(engine.accountant().Remaining("census"), 0.0);
 }
 
@@ -1111,11 +1219,10 @@ TEST(Engine, GaussianMeasureRefusedInPureRegimeWithoutNoise) {
   Engine engine(FastEngineOptions());  // Pure-dp regime.
   Vector x(static_cast<size_t>(w.DomainSize()), 1.0);
   Rng rng(62);
-  std::string error;
-  auto refused = engine.Measure(w, "d", x, MeasureRequest::Gaussian(0.5),
-                                &rng, &error);
-  EXPECT_EQ(refused, nullptr);
-  EXPECT_NE(error.find("zcdp"), std::string::npos);
+  auto refused =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Gaussian(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("zcdp"), std::string::npos);
   EXPECT_EQ(engine.accountant().Spent("d"), 0.0);
 }
 
@@ -1128,10 +1235,10 @@ TEST(Engine, GaussianSessionAnswersApproximateTruthAtHighRho) {
   Vector x(static_cast<size_t>(w.DomainSize()));
   for (double& v : x) v = std::floor(rng.Uniform(0.0, 20.0));
 
-  std::string error;
-  auto session = engine.Measure(w, "d", x, MeasureRequest::Gaussian(1e12),
-                                &rng, &error);
-  ASSERT_NE(session, nullptr) << error;
+  auto measured =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Gaussian(1e12), &rng);
+  ASSERT_TRUE(measured.ok()) << measured.status().ToString();
+  const auto& session = measured.value();
 
   std::vector<BoxQuery> queries;
   std::string parse_error;
@@ -1174,10 +1281,10 @@ TEST(Engine, MarginalsSessionServesMarginalsFromMeasuredTables) {
   Rng rng(67);
   Vector x(static_cast<size_t>(w.DomainSize()));
   for (double& v : x) v = std::floor(rng.Uniform(0.0, 30.0));
-  std::string error;
-  auto session = engine.Measure(w, "d", x, MeasureRequest::Gaussian(1e12),
-                                &rng, &error);
-  ASSERT_NE(session, nullptr) << error;
+  auto measured =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Gaussian(1e12), &rng);
+  ASSERT_TRUE(measured.ok()) << measured.status().ToString();
+  const auto& session = measured.value();
   ASSERT_EQ(session->marginal_tables().size(), 3u);
 
   // Marginal queries are covered by the measured tables and answered from
@@ -1216,10 +1323,10 @@ TEST(Engine, MarginalsSessionLazilyMaterializesXHat) {
   Rng rng(71);
   Vector x(static_cast<size_t>(w.DomainSize()));
   for (double& v : x) v = std::floor(rng.Uniform(0.0, 30.0));
-  std::string error;
-  auto session = engine.Measure(w, "d", x, MeasureRequest::Gaussian(1e12),
-                                &rng, &error);
-  ASSERT_NE(session, nullptr) << error;
+  auto measured =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Gaussian(1e12), &rng);
+  ASSERT_TRUE(measured.ok()) << measured.status().ToString();
+  const auto& session = measured.value();
 
   const Vector& x_hat = session->XHat();
   ASSERT_EQ(x_hat.size(), x.size());
@@ -1277,22 +1384,21 @@ TEST(Engine, ZCdpLedgerPersistsGaussianChargesAcrossEngines) {
   options.ledger_path = dir + "/budget.ledger";
   UnionWorkload w = SmallWorkload();
   Vector x(static_cast<size_t>(w.DomainSize()), 1.0);
-  std::string error;
   {
     Engine engine(options);
     Rng rng(73);
-    ASSERT_NE(engine.Measure(w, "d.csv", x, MeasureRequest::Gaussian(0.8),
-                             &rng, &error),
-              nullptr)
-        << error;
+    auto measured =
+        engine.MeasureOr(w, "d.csv", x, MeasureRequest::Gaussian(0.8), &rng);
+    ASSERT_TRUE(measured.ok()) << measured.status().ToString();
   }
   Engine restarted(options);
   EXPECT_NEAR(restarted.accountant().Spent("d.csv"), 0.8, 1e-15);
   Rng rng(74);
-  EXPECT_EQ(restarted.Measure(w, "d.csv", x, MeasureRequest::Gaussian(0.5),
-                              &rng, &error),
-            nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  auto refused =
+      restarted.MeasureOr(w, "d.csv", x, MeasureRequest::Gaussian(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
 }
 
 }  // namespace

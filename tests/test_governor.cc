@@ -499,7 +499,8 @@ TEST(Deadline, ValueSemantics) {
 }
 
 TEST(Deadline, CancelledColdPlanIsBoundedAndSideEffectFree) {
-  // A workload whose cold plan is much slower than the deadline.
+  // A workload whose cold plan is much slower than the deadline, so the
+  // token fires inside the measurement's plan step.
   UnionWorkload w = ParseWorkloadOrDie(
       "domain a=64 b=32\n"
       "product a=prefix b=prefix\n"
@@ -510,25 +511,29 @@ TEST(Deadline, CancelledColdPlanIsBoundedAndSideEffectFree) {
   options.optimizer.seed = 5;
   options.total_epsilon = 1.0;
   Engine engine(options);
+  Vector x(static_cast<size_t>(w.DomainSize()), 1.0);
+  Rng rng(11);
 
   constexpr int64_t kDeadlineMs = 30;
   CancelToken token(Deadline::AfterMillis(kDeadlineMs));
   const auto start = std::chrono::steady_clock::now();
-  auto plan = engine.PlanOr(w, &token);
+  auto measured = engine.MeasureOr(w, "d", x, MeasureRequest::Laplace(0.5),
+                                   &rng, &token);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
-  ASSERT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kDeadlineExceeded);
-  // Acceptance bound: the cancelled plan returns within deadline + 50ms —
-  // the optimizer polls the token per L-BFGS-B iteration.
+  ASSERT_FALSE(measured.ok());
+  EXPECT_EQ(measured.status().code(), StatusCode::kDeadlineExceeded);
+  // Acceptance bound: the cancelled measurement returns within deadline +
+  // 50ms — the optimizer polls the token per L-BFGS-B iteration.
   EXPECT_LE(elapsed.count(), kDeadlineMs + 50);
 
-  // No side effects: the partial result was not cached, so the next plan is
-  // a genuine (uncancelled) optimization, and it converges to the same
-  // deterministic winner a fresh engine would pick.
-  auto full = engine.PlanOr(w, nullptr);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_EQ(full.value().source, PlanSource::kOptimized);
+  // No side effects: nothing was charged, and the partial strategy was not
+  // cached, so the next plan is a genuine (uncancelled) optimization.
+  EXPECT_EQ(engine.accountant().Spent("d"), 0.0);
+  StrategyCache::Tier tier = StrategyCache::Tier::kMiss;
+  EXPECT_EQ(engine.cache().Get(FingerprintPlan(w, options.optimizer), &tier),
+            nullptr);
+  EXPECT_EQ(engine.Plan(w).source, PlanSource::kOptimized);
 }
 
 TEST(Deadline, ExpiredMeasureSpendsNothing) {

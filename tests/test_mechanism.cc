@@ -5,8 +5,8 @@
 #include "core/error.h"
 #include "core/hdmm.h"
 #include "core/measure.h"
-#include "core/reconstruct.h"
 #include "data/synthetic.h"
+#include "linalg/lsmr.h"
 #include "workload/building_blocks.h"
 
 namespace hdmm {
@@ -92,13 +92,13 @@ TEST(Mechanism, LaplaceMeasureOperatorPath) {
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(y[i], ref[i], 1e-5);
 }
 
-TEST(Mechanism, LeastSquaresReconstructRecovers) {
+TEST(Mechanism, LsmrReconstructionRecovers) {
   Rng rng(5);
   Matrix a = PrefixBlock(6);
   DenseOperator op(a);
   Vector x = {3, 1, 4, 1, 5, 9};
   Vector y = MatVec(a, x);
-  Vector xhat = LeastSquaresReconstruct(op, y);
+  Vector xhat = LsmrSolve(op, y).x;
   for (size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(xhat[i], x[i], 1e-7);
 }
 

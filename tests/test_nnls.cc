@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/reconstruct.h"
 #include "core/strategy.h"
 #include "linalg/kron.h"
+#include "linalg/lsmr.h"
 #include "linalg/pinv.h"
 #include "workload/building_blocks.h"
 
@@ -101,7 +101,7 @@ TEST(Nnls, WorksOnImplicitKroneckerOperator) {
   for (double v : res.x) EXPECT_GE(v, 0.0);
   // NNLS error must not exceed clamped-least-squares error by more than
   // numerical slack (it minimizes over a superset... of the clamped point).
-  Vector x_ls = LeastSquaresReconstruct(op, y);
+  Vector x_ls = LsmrSolve(op, y).x;
   for (double& v : x_ls) v = std::max(v, 0.0);
   Vector fit_ls = op.Apply(x_ls);
   double obj_clamped = 0.0;
@@ -152,7 +152,7 @@ TEST(Nnls, ReducesErrorOnSparseCounts) {
   for (int trial = 0; trial < kTrials; ++trial) {
     Vector y = op.Apply(x_true);
     for (double& v : y) v += rng.Laplace(2.0);
-    Vector x_ls = LeastSquaresReconstruct(op, y);
+    Vector x_ls = LsmrSolve(op, y).x;
     NnlsResult res = SolveNnls(op, y, x_ls);
     for (size_t i = 0; i < x_true.size(); ++i) {
       ls_sq += (x_ls[i] - x_true[i]) * (x_ls[i] - x_true[i]);

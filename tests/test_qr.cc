@@ -190,7 +190,9 @@ TEST_P(PivotedQrShapeTest, QOrthonormalAndDiagonalDescending) {
   EXPECT_LT(Gram(qr.q).MaxAbsDiff(Matrix::Identity(k)), 1e-10);
   for (int64_t i = 0; i < k; ++i) {
     EXPECT_GE(qr.r(i, i), 0.0);
-    if (i > 0) EXPECT_LE(qr.r(i, i), qr.r(i - 1, i - 1) + 1e-12);
+    if (i > 0) {
+      EXPECT_LE(qr.r(i, i), qr.r(i - 1, i - 1) + 1e-12);
+    }
     for (int64_t j = 0; j < std::min(i, n); ++j) EXPECT_EQ(qr.r(i, j), 0.0);
   }
 }

@@ -10,6 +10,7 @@
 // Strategy selection never touches the data (Section 7.3 of the paper);
 // only `run` consumes privacy budget, via the Laplace mechanism.
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -17,9 +18,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/deadline.h"
@@ -134,6 +138,33 @@ bool ParseFlags(int argc, char** argv, int first, Flags* flags) {
   return true;
 }
 
+// The least double above zero: the `min` of flags that must be positive.
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+
+// Reads numeric flag --name into *out, leaving *out (the default) alone
+// when the flag is absent. Strict: the whole value must parse as a T
+// (`--budget 1x` or `--restarts abc` is a typo, not a request for 1 or 0),
+// be finite and be at least `min`. Otherwise prints "--name must be <want>"
+// and fails. T comes from `out` alone; `min` converts to it.
+template <typename T>
+bool ReadNumericFlag(const Flags& flags, const std::string& name,
+                     std::common_type_t<T> min, const char* want, T* out) {
+  if (!flags.Has(name)) return true;
+  const std::string text = flags.Get(name);
+  const char* end = text.data() + text.size();
+  T value{};
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end ||
+      !std::isfinite(static_cast<double>(value)) || value < min) {
+    std::fprintf(stderr, "--%s must be %s (got '%s')\n", name.c_str(), want,
+                 text.c_str());
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool LoadWorkloadFlag(const Flags& flags, UnionWorkload* w) {
   const std::string path = flags.Get("workload");
   if (path.empty()) {
@@ -188,29 +219,29 @@ void PrintWorkloadSummary(const UnionWorkload& w) {
                static_cast<long long>(w.ExplicitStorageDoubles()));
 }
 
-HdmmOptions OptionsFromFlags(const Flags& flags) {
-  HdmmOptions options;
-  options.restarts = static_cast<int>(
-      std::strtol(flags.Get("restarts", "3").c_str(), nullptr, 10));
-  options.seed = static_cast<uint64_t>(
-      std::strtoll(flags.Get("seed", "0").c_str(), nullptr, 10));
-  return options;
-}
-
-HdmmResult OptimizeFromFlags(const UnionWorkload& w, const Flags& flags) {
-  return OptimizeStrategy(w, OptionsFromFlags(flags));
+// --restarts and the optimizer seed, read from flag `seed_flag`.
+bool OptionsFromFlags(const Flags& flags, const std::string& seed_flag,
+                      HdmmOptions* options) {
+  return ReadNumericFlag(flags, "restarts", 1, "an integer >= 1",
+                         &options->restarts) &&
+         ReadNumericFlag(flags, seed_flag, 0, "a non-negative integer",
+                         &options->seed);
 }
 
 int CmdOptimize(const Flags& flags) {
   UnionWorkload w;
   if (!LoadWorkloadFlag(flags, &w)) return 1;
+  HdmmOptions options;
+  double epsilon = 1.0;
+  if (!OptionsFromFlags(flags, "seed", &options) ||
+      !ReadNumericFlag(flags, "epsilon", kPositive, "positive", &epsilon)) {
+    return 1;
+  }
   PrintWorkloadSummary(w);
 
-  const double epsilon = std::strtod(flags.Get("epsilon", "1.0").c_str(),
-                                     nullptr);
   std::printf("plan fingerprint: %s\n",
-              FingerprintPlan(w, OptionsFromFlags(flags)).Hex().c_str());
-  HdmmResult result = OptimizeFromFlags(w, flags);
+              FingerprintPlan(w, options).Hex().c_str());
+  HdmmResult result = OptimizeStrategy(w, options);
   std::printf("\nchosen operator: %s\n", result.chosen_operator.c_str());
   std::printf("strategy queries: %lld, sensitivity %.6f\n",
               static_cast<long long>(result.strategy->NumQueries()),
@@ -271,9 +302,10 @@ int CmdRun(const Flags& flags) {
     std::fprintf(stderr, "missing --epsilon E\n");
     return 1;
   }
-  const double epsilon = std::strtod(flags.Get("epsilon").c_str(), nullptr);
-  if (epsilon <= 0.0) {
-    std::fprintf(stderr, "--epsilon must be positive\n");
+  HdmmOptions options;
+  double epsilon = 0.0;
+  if (!OptionsFromFlags(flags, "seed", &options) ||
+      !ReadNumericFlag(flags, "epsilon", kPositive, "positive", &epsilon)) {
     return 1;
   }
 
@@ -291,7 +323,7 @@ int CmdRun(const Flags& flags) {
   // now; neither path touches the data. Either way, report the fingerprint
   // the serving engine's strategy cache would key this plan under.
   std::fprintf(stderr, "plan fingerprint: %s\n",
-               FingerprintPlan(w, OptionsFromFlags(flags)).Hex().c_str());
+               FingerprintPlan(w, options).Hex().c_str());
   std::unique_ptr<Strategy> strategy;
   if (flags.Has("strategy")) {
     std::string error;
@@ -315,7 +347,7 @@ int CmdRun(const Flags& flags) {
     }
     std::fprintf(stderr, "loaded strategy: %s\n", strategy->Name().c_str());
   } else {
-    HdmmResult result = OptimizeFromFlags(w, flags);
+    HdmmResult result = OptimizeStrategy(w, options);
     std::fprintf(stderr, "optimized strategy: %s\n",
                  result.chosen_operator.c_str());
     strategy = std::move(result.strategy);
@@ -324,8 +356,7 @@ int CmdRun(const Flags& flags) {
                strategy->RootMeanSquaredError(w, epsilon));
 
   const Vector x = dataset.ToDataVector();
-  Rng rng(static_cast<uint64_t>(
-      std::strtoll(flags.Get("seed", "0").c_str(), nullptr, 10)));
+  Rng rng(options.seed);  // --seed steers both the restarts and the noise.
   const Vector answers = RunMechanism(w, *strategy, x, epsilon, &rng);
 
   if (flags.Has("truth")) {
@@ -371,13 +402,16 @@ int CmdServe(const Flags& flags) {
   }
 
   EngineOptions engine_options;
-  engine_options.optimizer = OptionsFromFlags(flags);
   // --seed steers the *noise* draw only. The optimizer seed is part of the
   // plan fingerprint, so folding the noise seed into it would invalidate
   // the strategy cache on every reseeded restart; use --opt-seed to
   // deliberately re-optimize with different random restarts.
-  engine_options.optimizer.seed = static_cast<uint64_t>(
-      std::strtoll(flags.Get("opt-seed", "0").c_str(), nullptr, 10));
+  uint64_t noise_seed = 0;
+  if (!OptionsFromFlags(flags, "opt-seed", &engine_options.optimizer) ||
+      !ReadNumericFlag(flags, "seed", 0, "a non-negative integer",
+                       &noise_seed)) {
+    return 1;
+  }
   // Accounting regime: pure-eps sequential composition (Laplace only) or
   // rho-zCDP additive composition (Laplace at eps^2/2, Gaussian at rho).
   const std::string regime = flags.Get("regime", "pure");
@@ -387,15 +421,13 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "--regime must be pure or zcdp\n");
     return 1;
   }
-  engine_options.total_epsilon =
-      std::strtod(flags.Get("budget", "1.0").c_str(), nullptr);
-  if (!(engine_options.total_epsilon > 0.0)) {
-    std::fprintf(stderr, "--budget must be positive\n");
+  if (!ReadNumericFlag(flags, "budget", kPositive, "positive",
+                       &engine_options.total_epsilon) ||
+      !ReadNumericFlag(flags, "delta", kPositive, "in (0, 1)",
+                       &engine_options.delta)) {
     return 1;
   }
-  engine_options.delta =
-      std::strtod(flags.Get("delta", "1e-9").c_str(), nullptr);
-  if (!(engine_options.delta > 0.0 && engine_options.delta < 1.0)) {
+  if (!(engine_options.delta < 1.0)) {
     std::fprintf(stderr, "--delta must be in (0, 1)\n");
     return 1;
   }
@@ -404,10 +436,8 @@ int CmdServe(const Flags& flags) {
       std::fprintf(stderr, "--budget-rho needs --regime zcdp\n");
       return 1;
     }
-    engine_options.total_rho =
-        std::strtod(flags.Get("budget-rho").c_str(), nullptr);
-    if (!(engine_options.total_rho > 0.0)) {
-      std::fprintf(stderr, "--budget-rho must be positive\n");
+    if (!ReadNumericFlag(flags, "budget-rho", kPositive, "positive",
+                         &engine_options.total_rho)) {
       return 1;
     }
   }
@@ -422,21 +452,11 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "--session-storage must be memory or mmap\n");
     return 1;
   }
-  if (flags.Has("tile-bytes")) {
-    session_storage.tile_bytes =
-        std::strtoll(flags.Get("tile-bytes").c_str(), nullptr, 10);
-    if (session_storage.tile_bytes < static_cast<int64_t>(sizeof(double))) {
-      std::fprintf(stderr, "--tile-bytes must be at least 8\n");
-      return 1;
-    }
-  }
-  if (flags.Has("hot-tile-budget")) {
-    session_storage.hot_tile_budget =
-        std::strtoll(flags.Get("hot-tile-budget").c_str(), nullptr, 10);
-    if (session_storage.hot_tile_budget < 0) {
-      std::fprintf(stderr, "--hot-tile-budget must be non-negative\n");
-      return 1;
-    }
+  if (!ReadNumericFlag(flags, "tile-bytes", sizeof(double), "an integer >= 8",
+                       &session_storage.tile_bytes) ||
+      !ReadNumericFlag(flags, "hot-tile-budget", 0, "a non-negative integer",
+                       &session_storage.hot_tile_budget)) {
+    return 1;
   }
   session_storage.dir = flags.Get("session-dir");
   if (!session_storage.dir.empty()) {
@@ -455,29 +475,15 @@ int CmdServe(const Flags& flags) {
   // Resource governor (docs/serving.md, "Overload behavior"): caps are
   // enforced at admission time, before any noise is drawn or budget
   // charged, so an over-capacity request is retryable and free.
-  if (flags.Has("max-sessions")) {
-    engine_options.governor.max_sessions =
-        std::strtoll(flags.Get("max-sessions").c_str(), nullptr, 10);
-    if (engine_options.governor.max_sessions < 0) {
-      std::fprintf(stderr, "--max-sessions must be non-negative\n");
-      return 1;
-    }
-  }
-  if (flags.Has("memory-budget-bytes")) {
-    engine_options.governor.memory_budget_bytes =
-        std::strtoll(flags.Get("memory-budget-bytes").c_str(), nullptr, 10);
-    if (engine_options.governor.memory_budget_bytes < 0) {
-      std::fprintf(stderr, "--memory-budget-bytes must be non-negative\n");
-      return 1;
-    }
-  }
   int64_t deadline_ms = 0;  // 0 = no deadline.
-  if (flags.Has("deadline-ms")) {
-    deadline_ms = std::strtoll(flags.Get("deadline-ms").c_str(), nullptr, 10);
-    if (deadline_ms < 0) {
-      std::fprintf(stderr, "--deadline-ms must be non-negative\n");
-      return 1;
-    }
+  if (!ReadNumericFlag(flags, "max-sessions", 0, "a non-negative integer",
+                       &engine_options.governor.max_sessions) ||
+      !ReadNumericFlag(flags, "memory-budget-bytes", 0,
+                       "a non-negative integer",
+                       &engine_options.governor.memory_budget_bytes) ||
+      !ReadNumericFlag(flags, "deadline-ms", 0, "a non-negative integer",
+                       &deadline_ms)) {
+    return 1;
   }
   engine_options.cache.disk_dir = flags.Get("cache-dir");
   // The budget ceiling must survive restarts whenever the strategies do:
@@ -503,8 +509,7 @@ int CmdServe(const Flags& flags) {
   Engine engine(engine_options);
 
   const Vector x = dataset.ToDataVector();
-  Rng rng(static_cast<uint64_t>(
-      std::strtoll(flags.Get("seed", "0").c_str(), nullptr, 10)));
+  Rng rng(noise_seed);
 
   // The ledger keys on the dataset id: canonicalize the path so
   // `data.csv`, `./data.csv`, and an absolute spelling of the same file
@@ -863,13 +868,12 @@ int main(int argc, char** argv) {
   // bit-identical at any thread count for a fixed seed, so this is purely a
   // throughput/isolation knob.
   if (flags.Has("threads")) {
-    char* end = nullptr;
-    const long n = std::strtol(flags.Get("threads").c_str(), &end, 10);
-    if (*end != '\0' || n < 1) {
-      std::fprintf(stderr, "--threads must be a positive integer\n");
+    int threads = 0;
+    if (!ReadNumericFlag(flags, "threads", 1, "a positive integer",
+                         &threads)) {
       return 2;
     }
-    ThreadPool::SetGlobalThreads(static_cast<int>(n));
+    ThreadPool::SetGlobalThreads(threads);
   }
 
   Trace::SetThreadName("main");
