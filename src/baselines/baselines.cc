@@ -30,15 +30,6 @@ double LaplaceMechanismSquaredError(const UnionWorkload& w) {
   return sens * sens * weighted_rows;
 }
 
-Vector RunLaplaceMechanism(const UnionWorkload& w, const Vector& x,
-                           double epsilon, Rng* rng) {
-  auto op = w.ToOperator();
-  Vector answers = op->Apply(x);
-  double scale = w.Sensitivity() / epsilon;
-  for (double& v : answers) v += rng->Laplace(scale);
-  return answers;
-}
-
 ImplicitStackedStrategy::ImplicitStackedStrategy(
     std::vector<std::vector<Matrix>> parts, std::string name,
     int64_t dense_threshold, uint64_t estimator_seed, int estimator_samples)

@@ -21,10 +21,6 @@ std::unique_ptr<Strategy> MakeIdentityBaseline(const Domain& domain);
 /// Err = ||W||_1^2 * sum_j w_j^2 m_j.
 double LaplaceMechanismSquaredError(const UnionWorkload& w);
 
-/// One run of LM: noisy workload answers under epsilon-DP.
-Vector RunLaplaceMechanism(const UnionWorkload& w, const Vector& x,
-                           double epsilon, Rng* rng);
-
 /// A strategy held as an implicit union (vertical stack) of Kronecker
 /// products measured *jointly* (unlike UnionKronStrategy's per-group budget
 /// convention): reconstruction is global least squares via LSMR, and the

@@ -34,8 +34,6 @@ class Deadline {
     return d;
   }
 
-  bool infinite() const { return !has_deadline_; }
-
   bool Expired() const {
     return has_deadline_ && std::chrono::steady_clock::now() >= at_;
   }
@@ -77,8 +75,6 @@ class CancelToken {
   /// which trigger fired so serve replies can distinguish a client cancel
   /// from a blown deadline.
   Status StopStatus() const;
-
-  const Deadline& deadline() const { return deadline_; }
 
  private:
   std::atomic<bool> cancelled_{false};

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "linalg/gemm.h"
 #include "linalg/pinv.h"
-#include "linalg/trace_estimator.h"
 
 namespace hdmm {
 
@@ -24,19 +23,6 @@ double ErrorRatio(const UnionWorkload& w, const Strategy& other,
   double e_ref = reference.SquaredError(w);
   HDMM_CHECK(e_ref > 0.0);
   return std::sqrt(e_other / e_ref);
-}
-
-double EstimateSquaredError(const LinearOperator& strategy_op,
-                            const LinearOperator& workload_op,
-                            double sensitivity, Rng* rng, int num_samples) {
-  auto gram_a = GramOperator(
-      std::shared_ptr<const LinearOperator>(&strategy_op, [](auto*) {}));
-  auto gram_w = GramOperator(
-      std::shared_ptr<const LinearOperator>(&workload_op, [](auto*) {}));
-  TraceEstimatorOptions opts;
-  opts.num_samples = num_samples;
-  double tr = EstimateTraceInvProduct(gram_a, gram_w, rng, opts);
-  return sensitivity * sensitivity * tr;
 }
 
 double EmpiricalSquaredError(const Vector& truth, const Vector& estimate) {

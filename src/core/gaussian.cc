@@ -22,34 +22,12 @@ double KronL2Sensitivity(const std::vector<Matrix>& factors) {
   return s;
 }
 
-double GaussianNoiseScale(double l2_sensitivity, double epsilon,
-                          double delta) {
-  HDMM_CHECK(epsilon > 0.0 && delta > 0.0 && delta < 1.0);
-  // The classic sqrt(2 ln(1.25/delta)) analysis only proves (eps, delta)-DP
-  // for eps < 1; at eps >= 1 the formula under-noises and the guarantee is
-  // silently void. Large-epsilon callers must calibrate through zCDP:
-  // sigma = GaussianSigmaFromRho(sens, RhoFromEpsilonDelta(eps, delta)).
-  HDMM_CHECK_MSG(epsilon < 1.0,
-                 "classic Gaussian calibration is invalid for epsilon >= 1; "
-                 "use the zCDP path (GaussianSigmaFromRho / "
-                 "RhoFromEpsilonDelta)");
-  return l2_sensitivity * std::sqrt(2.0 * std::log(1.25 / delta)) / epsilon;
-}
-
 double GaussianSigmaFromRho(double l2_sensitivity, double rho) {
   HDMM_CHECK_MSG(std::isfinite(l2_sensitivity) && l2_sensitivity > 0.0,
                  "L2 sensitivity must be positive and finite");
   HDMM_CHECK_MSG(std::isfinite(rho) && rho > 0.0,
                  "rho must be positive and finite");
   return l2_sensitivity / std::sqrt(2.0 * rho);
-}
-
-double RhoFromGaussianSigma(double l2_sensitivity, double sigma) {
-  HDMM_CHECK_MSG(std::isfinite(l2_sensitivity) && l2_sensitivity > 0.0,
-                 "L2 sensitivity must be positive and finite");
-  HDMM_CHECK_MSG(std::isfinite(sigma) && sigma > 0.0,
-                 "sigma must be positive and finite");
-  return l2_sensitivity * l2_sensitivity / (2.0 * sigma * sigma);
 }
 
 double RhoToEpsilon(double rho, double delta) {
@@ -76,21 +54,6 @@ double PureDpToRho(double epsilon) {
   HDMM_CHECK_MSG(std::isfinite(epsilon) && epsilon > 0.0,
                  "epsilon must be positive and finite");
   return 0.5 * epsilon * epsilon;
-}
-
-Vector MeasureGaussian(const Strategy& strategy, const Vector& x,
-                       double l2_sensitivity, double epsilon, double delta,
-                       Rng* rng) {
-  Vector y = strategy.Apply(x);
-  const double sigma = GaussianNoiseScale(l2_sensitivity, epsilon, delta);
-  for (double& v : y) v += sigma * rng->Gaussian();
-  return y;
-}
-
-double GaussianTotalSquaredError(double trace_term, double l2_sensitivity,
-                                 double epsilon, double delta) {
-  double sigma = GaussianNoiseScale(l2_sensitivity, epsilon, delta);
-  return sigma * sigma * trace_term;
 }
 
 }  // namespace hdmm

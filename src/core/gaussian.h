@@ -1,26 +1,19 @@
-// Approximate-DP measurement via the Gaussian mechanism, in two calibrations.
-// Section 3.5 of the paper notes the HDMM machinery "also appl[ies] to a
-// version of MM satisfying approximate differential privacy (delta > 0)":
+// Approximate-DP measurement via the Gaussian mechanism, calibrated through
+// zCDP. Section 3.5 of the paper notes the HDMM machinery "also appl[ies] to
+// a version of MM satisfying approximate differential privacy (delta > 0)":
 // the only changes are L2 (not L1) sensitivity and Gaussian (not Laplace)
 // noise; selection, measurement, and reconstruction are otherwise identical.
 //
-// Two sound ways to set sigma:
-//
-//   classic   sigma = sens * sqrt(2 ln(1.25/delta)) / eps, valid ONLY for
-//             eps < 1 (Dwork & Roth, Thm A.1 — the tail bound underlying the
-//             constant 1.25 fails at eps >= 1, where the formula yields a
-//             sigma that does NOT deliver (eps, delta)-DP).
-//   zCDP      sigma = sens / sqrt(2 rho) gives rho-zCDP exactly, for any
-//             rho > 0 (Bun & Steinke, Prop 1.6). rho-zCDP implies
-//             (rho + 2 sqrt(rho ln(1/delta)), delta)-DP for every delta
-//             (Prop 1.3), composes additively, and is the regime the HDMM
-//             journal version (McKenna et al. 2021) accounts Gaussian
-//             measurements in. This is the path the serving engine uses.
+// sigma = sens / sqrt(2 rho) gives rho-zCDP exactly, for any rho > 0 (Bun &
+// Steinke, Prop 1.6). rho-zCDP implies (rho + 2 sqrt(rho ln(1/delta)),
+// delta)-DP for every delta (Prop 1.3) and composes additively; it is the
+// regime the HDMM journal version (McKenna et al. 2021) accounts Gaussian
+// measurements in. Strategy::MeasureGaussian draws the noise.
 #ifndef HDMM_CORE_GAUSSIAN_H_
 #define HDMM_CORE_GAUSSIAN_H_
 
-#include "common/rng.h"
-#include "core/strategy.h"
+#include <vector>
+
 #include "linalg/matrix.h"
 
 namespace hdmm {
@@ -33,22 +26,11 @@ double L2Sensitivity(const Matrix& a);
 /// the sensitivity is the product of the factor sensitivities.
 double KronL2Sensitivity(const std::vector<Matrix>& factors);
 
-/// Classic Gaussian-mechanism noise scale sigma for (epsilon, delta)-DP:
-/// sigma = sens * sqrt(2 ln(1.25/delta)) / epsilon. Dies unless
-/// 0 < epsilon < 1 — the classic analysis is invalid at epsilon >= 1, where
-/// this formula silently under-noises; large-epsilon callers must go through
-/// the zCDP calibration (GaussianSigmaFromRho with rho = RhoFromEpsilonDelta).
-double GaussianNoiseScale(double l2_sensitivity, double epsilon, double delta);
-
 // --- zCDP calibration and Bun-Steinke conversions ---------------------------
 
 /// Noise scale delivering rho-zCDP: sigma = sens / sqrt(2 rho)
 /// (Bun & Steinke, Prop 1.6). Valid for every rho > 0.
 double GaussianSigmaFromRho(double l2_sensitivity, double rho);
-
-/// The zCDP cost of a Gaussian release at a given sigma:
-/// rho = sens^2 / (2 sigma^2). Inverse of GaussianSigmaFromRho.
-double RhoFromGaussianSigma(double l2_sensitivity, double sigma);
 
 /// rho-zCDP implies (eps, delta)-DP with eps = rho + 2 sqrt(rho ln(1/delta))
 /// (Bun & Steinke, Prop 1.3). Used to report a zCDP ledger in (eps, delta).
@@ -62,20 +44,6 @@ double RhoFromEpsilonDelta(double epsilon, double delta);
 /// Pure eps-DP implies (eps^2/2)-zCDP (Bun & Steinke, Prop 1.4): the cost of
 /// accounting a Laplace measurement inside a zCDP ledger.
 double PureDpToRho(double epsilon);
-
-/// MEASURE under (epsilon, delta)-DP with the classic calibration:
-/// y = A x + N(0, sigma^2)^m. The caller supplies the L2 sensitivity of the
-/// strategy. Same epsilon < 1 restriction as GaussianNoiseScale; prefer
-/// Strategy::MeasureGaussian (zCDP) in new code.
-Vector MeasureGaussian(const Strategy& strategy, const Vector& x,
-                       double l2_sensitivity, double epsilon, double delta,
-                       Rng* rng);
-
-/// Expected total squared error of the workload answers under Gaussian
-/// measurement: sigma^2 * ||W A^+||_F^2. `trace_term` is ||W A^+||_F^2
-/// (i.e., Strategy::SquaredError divided by the L1 sensitivity squared).
-double GaussianTotalSquaredError(double trace_term, double l2_sensitivity,
-                                 double epsilon, double delta);
 
 }  // namespace hdmm
 

@@ -1,26 +1,19 @@
-// The MEASURE step (Table 1b): Laplace mechanism in vector form
-// (Definition 6) over implicit operators.
+// The MEASURE step (Table 1b): the Laplace noise scale of Definition 6.
+// Strategy::Measure draws the noise; this header only validates and
+// computes its scale.
 #ifndef HDMM_CORE_MEASURE_H_
 #define HDMM_CORE_MEASURE_H_
 
 #include <cmath>
 
 #include "common/check.h"
-#include "common/rng.h"
-#include "linalg/linear_operator.h"
 
 namespace hdmm {
 
-/// y = A x + Lap(sensitivity / epsilon)^m. The caller supplies the
-/// sensitivity (||A||_1) since implicit operators cannot always compute it.
-/// Dies unless epsilon and the sensitivity are both positive and finite: a
-/// NaN/inf/zero noise scale silently voids the privacy guarantee, so it is
-/// a contract violation, never a sampled value.
-Vector LaplaceMeasure(const LinearOperator& a, const Vector& x,
-                      double sensitivity, double epsilon, Rng* rng);
-
-/// Noise scale used by LaplaceMeasure (sigma_A of Definition 6). Same
-/// positive-and-finite contract as LaplaceMeasure.
+/// Noise scale sigma_A = sensitivity / epsilon of Definition 6, used by
+/// Strategy::Measure. Dies unless epsilon and the sensitivity are both
+/// positive and finite: a NaN/inf/zero noise scale silently voids the
+/// privacy guarantee, so it is a contract violation, never a sampled value.
 inline double LaplaceScale(double sensitivity, double epsilon) {
   HDMM_CHECK_MSG(std::isfinite(epsilon) && epsilon > 0.0,
                  "epsilon must be positive and finite");

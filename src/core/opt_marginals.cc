@@ -7,7 +7,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "linalg/lu.h"
+#include "linalg/cholesky.h"
 
 namespace hdmm {
 

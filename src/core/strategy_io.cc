@@ -283,6 +283,11 @@ std::unique_ptr<Strategy> ParseMarginals(LineReader* reader,
       return nullptr;
     }
   }
+  int64_t cells = 0;
+  if (!CheckedCellCount(sizes, &cells)) {
+    *error = reader->Error("marginals domain cell count overflows int64");
+    return nullptr;
+  }
   if (!reader->Next()) {
     *error = reader->Error("missing 'theta' line");
     return nullptr;

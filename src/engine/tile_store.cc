@@ -400,11 +400,6 @@ int64_t MmapTileStore::HotTiles() const {
   return static_cast<int64_t>(hot_.size());
 }
 
-int64_t MmapTileStore::hot_tile_budget() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hot_tile_budget_;
-}
-
 void MmapTileStore::SetHotTileBudget(int64_t budget) {
   std::lock_guard<std::mutex> lock(mu_);
   hot_tile_budget_ = std::max<int64_t>(0, budget);

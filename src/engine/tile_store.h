@@ -191,7 +191,6 @@ class MmapTileStore : public DataVectorStore {
   const std::string& dir() const { return dir_; }
   /// Tiles currently in the hot set.
   int64_t HotTiles() const;
-  int64_t hot_tile_budget() const;
 
   /// Retargets the hot-tile LRU budget and evicts down to it immediately.
   /// The governor's hibernate/resume lever: a budget of 0 drops every hot

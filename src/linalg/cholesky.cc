@@ -178,12 +178,6 @@ void CholeskySolveMatrixInto(const Matrix& l, const Matrix& b, Matrix* out) {
   BackwardSubstituteTransposeMatrix(l, out);
 }
 
-Matrix CholeskySolveMatrix(const Matrix& l, const Matrix& b) {
-  Matrix out;
-  CholeskySolveMatrixInto(l, b, &out);
-  return out;
-}
-
 void CholeskySolveRowsInto(const Matrix& l, const Matrix& b, Matrix* out,
                            GemmParallelism par) {
   HDMM_CHECK(l.rows() == l.cols() && l.rows() == b.cols());
@@ -217,22 +211,31 @@ void CholeskySolveRowsInto(const Matrix& l, const Matrix& b, Matrix* out,
   }
 }
 
-Matrix SpdInverse(const Matrix& x) {
-  Matrix l;
-  HDMM_CHECK_MSG(CholeskyFactor(x, &l), "SpdInverse: matrix not SPD");
-  Matrix out;
-  CholeskySolveMatrixInto(l, Matrix::Identity(x.rows()), &out);
-  return out;
+Vector UpperTriangularSolve(const Matrix& u, const Vector& b) {
+  HDMM_CHECK(u.rows() == u.cols());
+  const int64_t n = u.rows();
+  Vector x = b;
+  for (int64_t i = n - 1; i >= 0; --i) {
+    double s = x[static_cast<size_t>(i)];
+    const double* row = u.Row(i);
+    for (int64_t k = i + 1; k < n; ++k) s -= row[k] * x[static_cast<size_t>(k)];
+    HDMM_CHECK_MSG(std::fabs(row[i]) > 1e-300, "singular triangular system");
+    x[static_cast<size_t>(i)] = s / row[i];
+  }
+  return x;
 }
 
-double TraceSolveSpd(const Matrix& x, const Matrix& g) {
-  HDMM_CHECK(x.rows() == g.rows() && x.cols() == g.cols());
-  Matrix l;
-  HDMM_CHECK_MSG(CholeskyFactor(x, &l), "TraceSolveSpd: matrix not SPD");
-  // tr[X^{-1} G]: one blocked multi-RHS solve, then read the diagonal.
-  Matrix z;
-  CholeskySolveMatrixInto(l, g, &z);
-  return z.Trace();
+Vector UpperTriangularSolveTranspose(const Matrix& u, const Vector& b) {
+  HDMM_CHECK(u.rows() == u.cols());
+  const int64_t n = u.rows();
+  Vector x = b;
+  for (int64_t i = 0; i < n; ++i) {
+    double s = x[static_cast<size_t>(i)];
+    for (int64_t k = 0; k < i; ++k) s -= u(k, i) * x[static_cast<size_t>(k)];
+    HDMM_CHECK_MSG(std::fabs(u(i, i)) > 1e-300, "singular triangular system");
+    x[static_cast<size_t>(i)] = s / u(i, i);
+  }
+  return x;
 }
 
 }  // namespace hdmm

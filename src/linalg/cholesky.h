@@ -8,6 +8,9 @@
 // all of the n^3/3 flops run at GEMM speed. Solves against many right-hand
 // sides are likewise blocked (panel-at-a-time, vectorized across the RHS
 // columns) instead of extracting one column Vector at a time.
+//
+// The header also holds the plain upper-triangular substitutions that OPT_M
+// (core/opt_marginals) runs against its marginals-algebra matrix.
 #ifndef HDMM_LINALG_CHOLESKY_H_
 #define HDMM_LINALG_CHOLESKY_H_
 
@@ -41,10 +44,6 @@ Vector CholeskySolve(const Matrix& l, const Vector& b);
 /// multi-RHS substitutions (no per-column Vector copies).
 void CholeskySolveMatrixInto(const Matrix& l, const Matrix& b, Matrix* out);
 
-/// Solves X Y = B for SPD X given its Cholesky factor L (value-returning
-/// wrapper over CholeskySolveMatrixInto).
-Matrix CholeskySolveMatrix(const Matrix& l, const Matrix& b);
-
 /// Transposed-RHS solve: computes Y = B X^{-1} (equivalently, solves
 /// X Y^T = B^T) for SPD X = L L^T, where each ROW of the row-major B is one
 /// right-hand side. Rows are solved independently (forward then backward
@@ -55,12 +54,11 @@ Matrix CholeskySolveMatrix(const Matrix& l, const Matrix& b);
 void CholeskySolveRowsInto(const Matrix& l, const Matrix& b, Matrix* out,
                            GemmParallelism par = GemmParallelism::kPooled);
 
-/// Inverse of an SPD matrix via Cholesky. Dies if not SPD.
-Matrix SpdInverse(const Matrix& x);
+/// Solves an upper-triangular system U x = b. Dies on zero diagonal.
+Vector UpperTriangularSolve(const Matrix& u, const Vector& b);
 
-/// tr[X^{-1} G] for SPD X. Factors X once and reuses the factorization.
-/// Dies if X is not SPD.
-double TraceSolveSpd(const Matrix& x, const Matrix& g);
+/// Solves U^T x = b with U upper triangular (i.e., a lower-triangular solve).
+Vector UpperTriangularSolveTranspose(const Matrix& u, const Vector& b);
 
 }  // namespace hdmm
 

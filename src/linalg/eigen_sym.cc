@@ -19,6 +19,10 @@ constexpr int64_t kJacobiCutoff = 32;
 // Reflectors aggregated per compact-WY block in the back-transformation.
 constexpr int64_t kReflectorBlock = 32;
 
+// Sweep cap and relative off-diagonal tolerance of the Jacobi path.
+constexpr int kJacobiMaxSweeps = 64;
+constexpr double kJacobiTol = 1e-12;
+
 // Sorts eigenvalues ascending and permutes the eigenvector columns to match.
 SymmetricEigen SortedResult(Vector evals, const Matrix& v) {
   const int64_t n = static_cast<int64_t>(evals.size());
@@ -42,7 +46,7 @@ SymmetricEigen SortedResult(Vector evals, const Matrix& v) {
 // The off-diagonal norm used for the convergence test is accumulated from the
 // entries visited during the sweep itself (pre-rotation values), so no
 // separate n^2 pass over the matrix is needed per sweep.
-SymmetricEigen JacobiEigenSym(const Matrix& x, int max_sweeps, double tol) {
+SymmetricEigen JacobiEigenSym(const Matrix& x) {
   const int64_t n = x.rows();
   Matrix a = x;
   Matrix v = Matrix::Identity(n);
@@ -53,7 +57,7 @@ SymmetricEigen JacobiEigenSym(const Matrix& x, int max_sweeps, double tol) {
   base = std::sqrt(base);
   if (base == 0.0) base = 1.0;
 
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kJacobiMaxSweeps; ++sweep) {
     double off2 = 0.0;
     for (int64_t p = 0; p < n - 1; ++p) {
       for (int64_t q = p + 1; q < n; ++q) {
@@ -85,7 +89,7 @@ SymmetricEigen JacobiEigenSym(const Matrix& x, int max_sweeps, double tol) {
         }
       }
     }
-    if (std::sqrt(off2) <= tol * base) break;
+    if (std::sqrt(off2) <= kJacobiTol * base) break;
   }
 
   Vector evals(static_cast<size_t>(n));
@@ -323,10 +327,10 @@ void ApplyQ(const Matrix& a, const Vector& tau, Matrix* z) {
 
 }  // namespace
 
-SymmetricEigen EigenSym(const Matrix& x, int max_sweeps, double tol) {
+SymmetricEigen EigenSym(const Matrix& x) {
   HDMM_CHECK(x.rows() == x.cols());
   const int64_t n = x.rows();
-  if (n < kJacobiCutoff) return JacobiEigenSym(x, max_sweeps, tol);
+  if (n < kJacobiCutoff) return JacobiEigenSym(x);
 
   Matrix a = x;
   Vector d, e, tau;
@@ -334,7 +338,7 @@ SymmetricEigen EigenSym(const Matrix& x, int max_sweeps, double tol) {
   Matrix z = Matrix::Identity(n);
   if (!TqlImplicit(&d, &e, &z)) {
     // Practically unreachable non-convergence: Jacobi always converges.
-    return JacobiEigenSym(x, max_sweeps, tol);
+    return JacobiEigenSym(x);
   }
   ApplyQ(a, tau, &z);
   return SortedResult(std::move(d), z);
@@ -347,7 +351,7 @@ Vector EigenvaluesSym(const Matrix& x) {
   Matrix a = x;
   Vector d, e, tau;
   Tridiagonalize(&a, &d, &e, &tau);
-  if (!TqlImplicit(&d, &e, nullptr)) return JacobiEigenSym(x, 64, 1e-12).eigenvalues;
+  if (!TqlImplicit(&d, &e, nullptr)) return JacobiEigenSym(x).eigenvalues;
   std::sort(d.begin(), d.end());
   return d;
 }

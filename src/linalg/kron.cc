@@ -1,32 +1,6 @@
 #include "linalg/kron.h"
 
-#include <algorithm>
-
-#include "common/thread_pool.h"
-
 namespace hdmm {
-namespace {
-
-// One per-factor pass of kmatvec restricted to batch columns
-// [col_begin, col_end): next[r * rest + c] += a(r, k) * y[c * ni + k].
-// Writes are disjoint across column ranges, which is what makes the
-// parallel split below race-free and bit-identical to the serial loop.
-void KmatvecPassSlice(const Matrix& a, const Vector& y, int64_t rest,
-                      int64_t col_begin, int64_t col_end, Vector* next) {
-  const int64_t ni = a.cols();
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    const double* arow = a.Row(r);
-    double* out = next->data() + r * rest;
-    for (int64_t k = 0; k < ni; ++k) {
-      const double ark = arow[k];
-      if (ark == 0.0) continue;
-      const double* in = y.data() + k;
-      for (int64_t c = col_begin; c < col_end; ++c) out[c] += ark * in[c * ni];
-    }
-  }
-}
-
-}  // namespace
 
 Matrix KronExplicit(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows() * b.rows(), a.cols() * b.cols());
@@ -112,49 +86,6 @@ Vector KronMatTVec(const std::vector<Matrix>& factors, const Vector& x) {
   transposed.reserve(factors.size());
   for (const Matrix& f : factors) transposed.push_back(f.Transposed());
   return KronMatVec(transposed, x);
-}
-
-Vector KronMatVecParallel(const std::vector<Matrix>& factors, const Vector& x,
-                          int num_threads) {
-  HDMM_CHECK(!factors.empty());
-  int64_t n_total = 1;
-  for (const Matrix& f : factors) n_total *= f.cols();
-  HDMM_CHECK(static_cast<int64_t>(x.size()) == n_total);
-
-  Vector y = x;
-  int64_t cur = n_total;
-  for (int64_t i = static_cast<int64_t>(factors.size()) - 1; i >= 0; --i) {
-    const Matrix& a = factors[static_cast<size_t>(i)];
-    const int64_t ni = a.cols();
-    const int64_t mi = a.rows();
-    const int64_t rest = cur / ni;
-    Vector next(static_cast<size_t>(mi * rest), 0.0);
-
-    // Column ranges write disjoint slices of `next`, so the pass splits over
-    // the shared pool race-free. Threading pays off only when this pass does
-    // enough work; num_threads == 1 forces the serial path for callers that
-    // want deterministic single-threaded timing.
-    const int64_t flops = mi * ni * rest;
-    if (num_threads == 1 || flops < (int64_t{1} << 16)) {
-      KmatvecPassSlice(a, y, rest, 0, rest, &next);
-    } else {
-      ComputePool().ParallelFor(
-          0, rest, /*grain=*/1024, [&](int64_t begin, int64_t end) {
-            KmatvecPassSlice(a, y, rest, begin, end, &next);
-          });
-    }
-    y = std::move(next);
-    cur = mi * rest;
-  }
-  return y;
-}
-
-Vector KronMatTVecParallel(const std::vector<Matrix>& factors,
-                           const Vector& x, int num_threads) {
-  std::vector<Matrix> transposed;
-  transposed.reserve(factors.size());
-  for (const Matrix& f : factors) transposed.push_back(f.Transposed());
-  return KronMatVecParallel(transposed, x, num_threads);
 }
 
 KronOperator::KronOperator(std::vector<Matrix> factors)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/rng.h"
 #include "linalg/gemm.h"
@@ -64,10 +63,6 @@ void Matrix::ScaleInPlace(double alpha) {
 void Matrix::AddInPlace(const Matrix& other, double alpha) {
   HDMM_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
-}
-
-Vector Matrix::RowVector(int64_t i) const {
-  return Vector(Row(i), Row(i) + cols_);
 }
 
 Vector Matrix::ColVector(int64_t j) const {
@@ -134,20 +129,6 @@ double Matrix::MaxAbsDiff(const Matrix& other) const {
   return m;
 }
 
-std::string Matrix::DebugString(int64_t max_rows, int64_t max_cols) const {
-  std::ostringstream os;
-  os << rows_ << "x" << cols_ << " matrix\n";
-  for (int64_t i = 0; i < std::min(rows_, max_rows); ++i) {
-    for (int64_t j = 0; j < std::min(cols_, max_cols); ++j) {
-      os << (*this)(i, j) << (j + 1 < std::min(cols_, max_cols) ? " " : "");
-    }
-    if (cols_ > max_cols) os << " ...";
-    os << "\n";
-  }
-  if (rows_ > max_rows) os << "...\n";
-  return os.str();
-}
-
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   Matrix c;
   MatMulInto(a, b, &c);
@@ -194,18 +175,6 @@ Vector MatTVec(const Matrix& a, const Vector& x) {
     for (int64_t j = 0; j < a.cols(); ++j) y[static_cast<size_t>(j)] += xi * row[j];
   }
   return y;
-}
-
-Matrix MatAdd(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.AddInPlace(b, 1.0);
-  return c;
-}
-
-Matrix MatSub(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.AddInPlace(b, -1.0);
-  return c;
 }
 
 Matrix MatScale(const Matrix& a, double alpha) {

@@ -5,7 +5,6 @@
 #define HDMM_LINALG_MATRIX_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -93,9 +92,6 @@ class Matrix {
   /// this += alpha * other (same shape).
   void AddInPlace(const Matrix& other, double alpha = 1.0);
 
-  /// Copies row i into a vector.
-  Vector RowVector(int64_t i) const;
-
   /// Copies column j into a vector.
   Vector ColVector(int64_t j) const;
 
@@ -123,9 +119,6 @@ class Matrix {
 
   /// Maximum absolute difference against another matrix (testing helper).
   double MaxAbsDiff(const Matrix& other) const;
-
-  /// Human-readable rendering for debugging/tests.
-  std::string DebugString(int64_t max_rows = 8, int64_t max_cols = 8) const;
 
  private:
   // Validates the shape BEFORE the storage allocation sizes itself from it;
@@ -161,12 +154,6 @@ Vector MatVec(const Matrix& a, const Vector& x);
 
 /// y = A^T x without forming A^T.
 Vector MatTVec(const Matrix& a, const Vector& x);
-
-/// A + B.
-Matrix MatAdd(const Matrix& a, const Matrix& b);
-
-/// A - B.
-Matrix MatSub(const Matrix& a, const Matrix& b);
 
 /// alpha * A.
 Matrix MatScale(const Matrix& a, double alpha);

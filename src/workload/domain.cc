@@ -1,20 +1,33 @@
 #include "workload/domain.h"
 
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
 
 namespace hdmm {
 
+bool CheckedCellCount(const std::vector<int64_t>& sizes, int64_t* cells) {
+  int64_t n = 1;
+  for (int64_t s : sizes) {
+    if (s < 1 || n > std::numeric_limits<int64_t>::max() / s) return false;
+    n *= s;
+  }
+  *cells = n;
+  return true;
+}
+
 Domain::Domain(std::vector<int64_t> sizes)
     : names_(sizes.size()), sizes_(std::move(sizes)) {
-  for (int64_t n : sizes_) HDMM_CHECK(n >= 1);
+  HDMM_CHECK_MSG(CheckedCellCount(sizes_, &cells_),
+                 "attribute sizes must be >= 1 with an int64 cell count");
 }
 
 Domain::Domain(std::vector<std::string> names, std::vector<int64_t> sizes)
     : names_(std::move(names)), sizes_(std::move(sizes)) {
   HDMM_CHECK(names_.size() == sizes_.size());
-  for (int64_t n : sizes_) HDMM_CHECK(n >= 1);
+  HDMM_CHECK_MSG(CheckedCellCount(sizes_, &cells_),
+                 "attribute sizes must be >= 1 with an int64 cell count");
 }
 
 int Domain::AttributeIndex(const std::string& name) const {
@@ -23,12 +36,6 @@ int Domain::AttributeIndex(const std::string& name) const {
   }
   HDMM_CHECK_MSG(false, "unknown attribute name");
   return -1;
-}
-
-int64_t Domain::TotalSize() const {
-  int64_t n = 1;
-  for (int64_t s : sizes_) n *= s;
-  return n;
 }
 
 int64_t Domain::Flatten(const std::vector<int64_t>& coords) const {

@@ -9,6 +9,11 @@
 
 namespace hdmm {
 
+/// The cell count prod_i sizes[i] of a domain, computed without overflow.
+/// Returns false when a size is below 1 or the product exceeds INT64_MAX;
+/// readers of outside input check this before constructing a Domain.
+bool CheckedCellCount(const std::vector<int64_t>& sizes, int64_t* cells);
+
 /// A relational schema R(A_1 ... A_d) with finite attribute domains.
 /// dom(R) = dom(A_1) x ... x dom(A_d); tuples are flattened row-major
 /// (attribute 1 is the most significant coordinate), matching the Kronecker
@@ -17,7 +22,8 @@ class Domain {
  public:
   Domain() = default;
 
-  /// Unnamed attributes with the given sizes.
+  /// Unnamed attributes with the given sizes. Dies unless CheckedCellCount
+  /// accepts them.
   explicit Domain(std::vector<int64_t> sizes);
 
   /// Named attributes.
@@ -38,7 +44,7 @@ class Domain {
   int AttributeIndex(const std::string& name) const;
 
   /// N = |dom(R)|, the full domain size (and data-vector length).
-  int64_t TotalSize() const;
+  int64_t TotalSize() const { return cells_; }
 
   const std::vector<int64_t>& sizes() const { return sizes_; }
 
@@ -54,6 +60,7 @@ class Domain {
  private:
   std::vector<std::string> names_;
   std::vector<int64_t> sizes_;
+  int64_t cells_ = 1;
 };
 
 }  // namespace hdmm

@@ -1,7 +1,10 @@
 #include "workload/parser.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -45,20 +48,25 @@ bool SplitKeyValue(const std::string& tok, std::string* key,
   return true;
 }
 
+// Whole-string integer; fails on values strtoll would clamp to the int64
+// range.
 bool ParseInt(const std::string& s, int64_t* out) {
   if (s.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size() || errno == ERANGE) return false;
   *out = v;
   return true;
 }
 
+// Whole-string finite double: "nan", "inf" and overflowing literals such as
+// 1e400 fail.
 bool ParseDouble(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size() || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
@@ -143,7 +151,9 @@ bool ParseMatrixLiteral(const std::string& value, Matrix* out,
     *why = "bad matrix entry";
     return false;
   }
-  if (static_cast<int64_t>(data.size()) != rows * cols) {
+  // Divide rather than multiply: rows * cols may overflow int64.
+  const int64_t entries = static_cast<int64_t>(data.size());
+  if (entries % cols != 0 || entries / cols != rows) {
     *why = "matrix literal entry count does not match dimensions";
     return false;
   }
@@ -385,6 +395,11 @@ bool ParseWorkload(const std::string& text, UnionWorkload* out,
       }
       if (names.empty()) {
         *error = LineError(line_no, "domain needs at least one attribute");
+        return false;
+      }
+      int64_t cells = 0;
+      if (!CheckedCellCount(sizes, &cells)) {
+        *error = LineError(line_no, "domain cell count overflows int64");
         return false;
       }
       attr_names = names;

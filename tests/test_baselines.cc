@@ -31,21 +31,6 @@ TEST(LaplaceMechanism, ErrorFormula) {
   EXPECT_NEAR(LaplaceMechanismSquaredError(w), 64.0, 1e-12);
 }
 
-TEST(LaplaceMechanism, RunIsUnbiased) {
-  Domain d({4});
-  UnionWorkload w = MakeProductWorkload(d, {PrefixBlock(4)});
-  Vector x = {5.0, 10.0, 15.0, 20.0};
-  Rng rng(1);
-  Vector truth = {5.0, 15.0, 30.0, 50.0};
-  Vector mean(4, 0.0);
-  const int trials = 2000;
-  for (int t = 0; t < trials; ++t) {
-    Vector y = RunLaplaceMechanism(w, x, 1.0, &rng);
-    Axpy(1.0 / trials, y, &mean);
-  }
-  for (size_t i = 0; i < 4; ++i) EXPECT_NEAR(mean[i], truth[i], 1.0);
-}
-
 TEST(Privelet, SensitivityIsLogarithmic) {
   Domain d({64});
   auto wav = MakePriveletStrategy(d);

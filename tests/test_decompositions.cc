@@ -3,7 +3,6 @@
 #include "common/rng.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/lu.h"
 #include "linalg/pinv.h"
 
 namespace hdmm {
@@ -41,54 +40,6 @@ TEST(Cholesky, SolveMatchesDirect) {
   Vector sol = CholeskySolve(l, b);
   Vector back = MatVec(x, sol);
   for (size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(back[i], b[i], 1e-9);
-}
-
-TEST(Cholesky, SpdInverse) {
-  Rng rng(3);
-  Matrix x = RandomSpd(8, &rng);
-  Matrix inv = SpdInverse(x);
-  Matrix prod = MatMul(x, inv);
-  EXPECT_LT(prod.MaxAbsDiff(Matrix::Identity(8)), 1e-9);
-}
-
-TEST(Cholesky, TraceSolveSpdMatchesExplicit) {
-  Rng rng(4);
-  Matrix x = RandomSpd(9, &rng);
-  Matrix g = RandomSpd(9, &rng);
-  double tr = TraceSolveSpd(x, g);
-  Matrix explicit_prod = MatMul(SpdInverse(x), g);
-  EXPECT_NEAR(tr, explicit_prod.Trace(), 1e-8);
-}
-
-TEST(Lu, SolveGeneral) {
-  Rng rng(5);
-  Matrix a = Matrix::RandomUniform(11, 11, &rng, -1.0, 1.0);
-  for (int64_t i = 0; i < 11; ++i) a(i, i) += 3.0;  // Diagonally dominant.
-  LuFactorization lu(a);
-  ASSERT_TRUE(lu.ok());
-  Vector b(11);
-  for (auto& v : b) v = rng.Uniform(-1.0, 1.0);
-  Vector sol = lu.Solve(b);
-  Vector back = MatVec(a, sol);
-  for (size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(back[i], b[i], 1e-9);
-  // Transpose solve.
-  Vector solt = lu.SolveTranspose(b);
-  Vector backt = MatVec(a.Transposed(), solt);
-  for (size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(backt[i], b[i], 1e-9);
-}
-
-TEST(Lu, DetectsSingular) {
-  Matrix a = Matrix::FromRows({{1.0, 2.0}, {2.0, 4.0}});
-  LuFactorization lu(a);
-  EXPECT_FALSE(lu.ok());
-}
-
-TEST(Lu, InverseRoundTrip) {
-  Rng rng(6);
-  Matrix a = Matrix::RandomUniform(7, 7, &rng, -1.0, 1.0);
-  for (int64_t i = 0; i < 7; ++i) a(i, i) += 2.0;
-  Matrix inv = Inverse(a);
-  EXPECT_LT(MatMul(a, inv).MaxAbsDiff(Matrix::Identity(7)), 1e-9);
 }
 
 TEST(Lu, TriangularSolvers) {

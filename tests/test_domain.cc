@@ -34,5 +34,22 @@ TEST(Domain, NamedAttributes) {
   EXPECT_EQ(d.ToString(), "2 x 115");
 }
 
+TEST(Domain, CheckedCellCountRejectsOverflow) {
+  int64_t cells = 0;
+  ASSERT_TRUE(CheckedCellCount({2, 3, 4}, &cells));
+  EXPECT_EQ(cells, 24);
+  // 2^62 * 2 = 2^63 is one past INT64_MAX; 2^62 * 1 still fits.
+  EXPECT_FALSE(CheckedCellCount({int64_t{1} << 62, 2}, &cells));
+  ASSERT_TRUE(CheckedCellCount({int64_t{1} << 62, 1}, &cells));
+  EXPECT_EQ(cells, int64_t{1} << 62);
+  EXPECT_FALSE(CheckedCellCount({65536, 65536, 65536, 65536}, &cells));
+  EXPECT_FALSE(CheckedCellCount({4, 0}, &cells));
+}
+
+TEST(DomainDeath, ConstructorRejectsOverflowingCellCount) {
+  EXPECT_DEATH(Domain({65536, 65536, 65536, 32768}), "int64 cell count");
+  EXPECT_DEATH(Domain({2, 0}), "int64 cell count");
+}
+
 }  // namespace
 }  // namespace hdmm

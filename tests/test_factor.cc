@@ -146,8 +146,8 @@ TEST(TraceSolve, BlockedTraceMatchesExplicitInverse) {
   const int64_t n = 96;
   Matrix x = RandomSpdGram(n, &rng);
   Matrix g = RandomSpdGram(n, &rng);
-  double tr = TraceSolveSpd(x, g);
-  Matrix explicit_prod = MatMul(SpdInverse(x), g);
+  double tr = TracePinvGram(x, g);
+  Matrix explicit_prod = MatMul(PsdPseudoInverse(x), g);
   EXPECT_NEAR(tr, explicit_prod.Trace(), 1e-6 * std::fabs(tr));
 }
 

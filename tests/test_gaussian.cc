@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "core/strategy.h"
 #include "linalg/kron.h"
 #include "workload/building_blocks.h"
 
@@ -25,55 +27,16 @@ TEST(Gaussian, KronL2SensitivityMatchesExplicit) {
   EXPECT_NEAR(implicit, explicit_sens, 1e-12);
 }
 
-TEST(Gaussian, NoiseScaleFormula) {
-  // sigma = sens * sqrt(2 ln(1.25/delta)) / eps.
-  double sigma = GaussianNoiseScale(2.0, 0.5, 1e-5);
-  EXPECT_NEAR(sigma, 2.0 * std::sqrt(2.0 * std::log(1.25e5)) / 0.5, 1e-9);
-}
-
-TEST(Gaussian, MeasureCalibration) {
-  // Empirical variance of the Gaussian measurement matches sigma^2.
-  KronStrategy id({IdentityBlock(4)});
-  Rng rng(2);
-  Vector x = {10.0, 20.0, 30.0, 40.0};
-  const double eps = 0.9, delta = 1e-6;
-  const double sigma = GaussianNoiseScale(1.0, eps, delta);
-  double sum_sq = 0.0;
-  const int trials = 3000;
-  for (int t = 0; t < trials; ++t) {
-    Vector y = MeasureGaussian(id, x, 1.0, eps, delta, &rng);
-    for (size_t i = 0; i < 4; ++i) {
-      double noise = y[i] - x[i];
-      sum_sq += noise * noise;
-    }
-  }
-  double var = sum_sq / (4 * trials);
-  EXPECT_NEAR(var, sigma * sigma, 0.1 * sigma * sigma);
-}
-
-TEST(Gaussian, TotalErrorScalesWithTrace) {
-  double e1 = GaussianTotalSquaredError(10.0, 1.0, 0.5, 1e-6);
-  double e2 = GaussianTotalSquaredError(20.0, 1.0, 0.5, 1e-6);
-  EXPECT_NEAR(e2, 2.0 * e1, 1e-9);
-}
-
-TEST(GaussianDeath, ClassicCalibrationRejectsEpsilonAtLeastOne) {
-  // Regression for the silent under-noising bug: the classic
-  // sqrt(2 ln(1.25/delta)) analysis is only valid for epsilon < 1. Exactly
-  // epsilon = 1 is the boundary case that used to slip through.
-  EXPECT_DEATH(GaussianNoiseScale(1.0, 1.0, 1e-6), "invalid for epsilon");
-  EXPECT_DEATH(GaussianNoiseScale(1.0, 4.0, 1e-6), "invalid for epsilon");
-  EXPECT_GT(GaussianNoiseScale(1.0, 0.999, 1e-6), 0.0);
-}
-
 TEST(Gaussian, ZCdpSigmaFormulaAndInverse) {
-  // sigma = sens / sqrt(2 rho), exact for every rho > 0 — including the
-  // large-budget regime the classic calibration cannot express.
+  // sigma = sens / sqrt(2 rho), exact for every rho > 0 — including budgets
+  // worth eps >= 1, where the classic sqrt(2 ln(1.25/delta)) / eps
+  // calibration is invalid.
   EXPECT_DOUBLE_EQ(GaussianSigmaFromRho(2.0, 0.5), 2.0);
   EXPECT_NEAR(GaussianSigmaFromRho(1.0, 8.0), 0.25, 1e-15);
+  // Inverse: a release at sigma costs rho = sens^2 / (2 sigma^2).
   for (double rho : {0.01, 0.5, 2.0, 50.0}) {
-    EXPECT_NEAR(RhoFromGaussianSigma(3.0, GaussianSigmaFromRho(3.0, rho)),
-                rho, 1e-12 * rho);
+    const double sigma = GaussianSigmaFromRho(3.0, rho);
+    EXPECT_NEAR(9.0 / (2.0 * sigma * sigma), rho, 1e-12 * rho);
   }
 }
 

@@ -102,62 +102,5 @@ TEST(Kron, PinvFactorization) {
   EXPECT_LT(p_full.MaxAbsDiff(p_kron), 1e-8);
 }
 
-// The parallel kmatvec must be bit-identical to the serial path: the column
-// split preserves per-entry summation order. Sweep shapes and thread counts.
-class KronParallelTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(KronParallelTest, MatchesSerialBitForBit) {
-  auto [shape_id, threads] = GetParam();
-  Rng rng(static_cast<uint64_t>(shape_id * 17 + threads));
-  std::vector<Matrix> factors;
-  switch (shape_id) {
-    case 0:  // 1D large-ish.
-      factors = {Matrix::RandomUniform(300, 256, &rng, -1.0, 1.0)};
-      break;
-    case 1:  // 2D, uneven.
-      factors = {Matrix::RandomUniform(7, 32, &rng, -1.0, 1.0),
-                 Matrix::RandomUniform(64, 64, &rng, -1.0, 1.0)};
-      break;
-    default:  // 3D including a wide factor.
-      factors = {Matrix::RandomUniform(3, 8, &rng, -1.0, 1.0),
-                 Matrix::RandomUniform(16, 16, &rng, -1.0, 1.0),
-                 Matrix::RandomUniform(2, 32, &rng, -1.0, 1.0)};
-      break;
-  }
-  int64_t n = 1;
-  for (const Matrix& f : factors) n *= f.cols();
-  Vector x(static_cast<size_t>(n));
-  for (double& v : x) v = rng.Uniform(-1.0, 1.0);
-
-  Vector serial = KronMatVec(factors, x);
-  Vector parallel = KronMatVecParallel(factors, x, threads);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "entry " << i;
-  }
-
-  Vector xt(static_cast<size_t>(KronOperator(factors).Rows()));
-  for (double& v : xt) v = rng.Uniform(-1.0, 1.0);
-  Vector serial_t = KronMatTVec(factors, xt);
-  Vector parallel_t = KronMatTVecParallel(factors, xt, threads);
-  for (size_t i = 0; i < serial_t.size(); ++i) {
-    EXPECT_EQ(serial_t[i], parallel_t[i]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ShapesAndThreads, KronParallelTest,
-                         ::testing::Combine(::testing::Values(0, 1, 2),
-                                            ::testing::Values(1, 2, 4, 0)));
-
-TEST(KronParallel, TinyInputsFallBackToSerial) {
-  Rng rng(9);
-  Matrix a = Matrix::RandomUniform(2, 3, &rng, -1.0, 1.0);
-  Vector x = {1.0, 2.0, 3.0};
-  Vector serial = KronMatVec({a}, x);
-  Vector parallel = KronMatVecParallel({a}, x, 8);
-  for (size_t i = 0; i < serial.size(); ++i) EXPECT_EQ(serial[i], parallel[i]);
-}
-
 }  // namespace
 }  // namespace hdmm

@@ -4,7 +4,6 @@
 
 #include "core/error.h"
 #include "core/hdmm.h"
-#include "core/measure.h"
 #include "data/synthetic.h"
 #include "linalg/lsmr.h"
 #include "workload/building_blocks.h"
@@ -79,17 +78,6 @@ TEST(Mechanism, HigherEpsilonLowersError) {
         truth, RunMechanism(w, *res.strategy, x, 2.0, &rng));
   }
   EXPECT_LT(err_high, err_low);
-}
-
-TEST(Mechanism, LaplaceMeasureOperatorPath) {
-  Rng rng(4);
-  Matrix a = PrefixBlock(6);
-  DenseOperator op(a);
-  Vector x = {1, 2, 3, 4, 5, 6};
-  Vector y = LaplaceMeasure(op, x, a.MaxAbsColSum(), 1e9, &rng);
-  // With enormous epsilon the noise is negligible.
-  Vector ref = MatVec(a, x);
-  for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(y[i], ref[i], 1e-5);
 }
 
 TEST(Mechanism, LsmrReconstructionRecovers) {

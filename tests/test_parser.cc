@@ -143,7 +143,24 @@ INSTANTIATE_TEST_SUITE_P(
         BadSpec{"domain a=4\nfrobnicate a=total\n", "unknown directive"},
         BadSpec{"domain a=4\nmarginals k=7\n", "bad marginals"},
         BadSpec{"domain a=4\nmarginals\n", "exactly one"},
-        BadSpec{"domain a=4\nmarginals j=1\n", "bad marginals key"}));
+        BadSpec{"domain a=4\nmarginals j=1\n", "bad marginals key"},
+        // Non-finite and out-of-range numbers.
+        BadSpec{"domain a=4 b=4\nproduct a=prefix b=identity weight=nan\n",
+                "bad weight"},
+        BadSpec{"domain a=4 b=4\nproduct a=prefix b=identity weight=inf\n",
+                "bad weight"},
+        BadSpec{"domain a=4\nproduct weight=1e400 a=total\n", "bad weight"},
+        BadSpec{"domain a=4\nproduct a=matrix(1x4:1,inf,0,0)\n",
+                "bad matrix entry"},
+        BadSpec{"domain a=99999999999999999999\nproduct a=total\n",
+                "bad attribute"},
+        // Products of sizes beyond int64.
+        BadSpec{"domain a=65536 b=65536 c=65536 d=65536\nproduct a=total\n",
+                "overflows int64"},
+        BadSpec{"domain a=65536 b=65536 c=65536 d=32768\nproduct a=total\n",
+                "overflows int64"},
+        BadSpec{"domain a=2\nproduct a=matrix(4611686018427387905x2:1,2)\n",
+                "does not match dimensions"}));
 
 TEST(Parser, ErrorsAreLineAnchored) {
   UnionWorkload w;

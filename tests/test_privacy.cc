@@ -4,11 +4,13 @@
 // Laplace with scale sensitivity/epsilon. Both are verified directly here,
 // per strategy representation.
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/gaussian.h"
 #include "core/hdmm.h"
 #include "core/strategy.h"
 #include "linalg/kron.h"
@@ -180,21 +182,62 @@ TEST(Privacy, LaplaceDensityRatioBoundedByEpsilon) {
   }
 }
 
-TEST(Privacy, MeasureNoiseHasLaplaceVariance) {
-  // Var[Lap(b)] = 2 b^2 with b = sens / eps. Estimate from repeated
-  // measurements of a fixed database.
-  Rng rng(5);
-  KronStrategy s({PrefixBlock(4)});
-  const double eps = 1.3;
-  const double b = s.Sensitivity() / eps;
-  Vector x = {5.0, 2.0, 7.0, 1.0};
-  const Vector ax = s.Apply(x);
+// Strategy::Measure and Strategy::MeasureGaussian are the only places HDMM
+// draws noise, so their calibration is checked once per strategy
+// representation, each against the strategy's own sensitivity.
+enum class Representation { kExplicit, kKron, kUnionKron, kMarginals };
 
+std::unique_ptr<Strategy> SmallStrategy(Representation r) {
+  switch (r) {
+    case Representation::kExplicit:
+      return std::make_unique<ExplicitStrategy>(PrefixBlock(4));
+    case Representation::kKron:
+      return std::make_unique<KronStrategy>(
+          std::vector<Matrix>{PrefixBlock(4)});
+    case Representation::kUnionKron:
+      return std::make_unique<UnionKronStrategy>(
+          std::vector<std::vector<Matrix>>{{MatScale(PrefixBlock(4), 0.3)},
+                                           {MatScale(IdentityBlock(4), 0.7)}},
+          std::vector<std::vector<int>>{{0}, {1}}, "u");
+    case Representation::kMarginals:
+      return std::make_unique<MarginalsStrategy>(
+          Domain({2, 3}), Vector{0.5, 1.0, 0.7, 1.2});
+  }
+  return nullptr;
+}
+
+std::string RepresentationName(
+    const ::testing::TestParamInfo<Representation>& info) {
+  switch (info.param) {
+    case Representation::kExplicit:
+      return "Explicit";
+    case Representation::kKron:
+      return "Kron";
+    case Representation::kUnionKron:
+      return "UnionKron";
+    case Representation::kMarginals:
+      return "Marginals";
+  }
+  return "Unknown";
+}
+
+// Mean and variance of the noise y - A x over repeated measurements of a
+// fixed database.
+struct NoiseMoments {
+  double mean = 0.0;
+  double variance = 0.0;
+};
+
+template <typename MeasureFn>
+NoiseMoments MeasureNoiseMoments(const Strategy& s, MeasureFn measure) {
+  Vector x(static_cast<size_t>(s.DomainSize()));
+  for (size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(3 * i % 7);
+  const Vector ax = s.Apply(x);
   const int trials = 20000;
   double sum = 0.0, sum_sq = 0.0;
   int64_t count = 0;
   for (int t = 0; t < trials; ++t) {
-    Vector y = s.Measure(x, eps, &rng);
+    const Vector y = measure(x);
     for (size_t i = 0; i < y.size(); ++i) {
       const double noise = y[i] - ax[i];
       sum += noise;
@@ -202,36 +245,44 @@ TEST(Privacy, MeasureNoiseHasLaplaceVariance) {
       ++count;
     }
   }
-  const double mean = sum / static_cast<double>(count);
-  const double var = sum_sq / static_cast<double>(count) - mean * mean;
-  EXPECT_NEAR(mean, 0.0, 0.05 * b);
-  EXPECT_NEAR(var, 2.0 * b * b, 0.1 * 2.0 * b * b);
+  NoiseMoments m;
+  m.mean = sum / static_cast<double>(count);
+  m.variance = sum_sq / static_cast<double>(count) - m.mean * m.mean;
+  return m;
 }
 
-TEST(Privacy, GaussianMeasureNoiseHasCalibratedVariance) {
+class StrategyNoiseTest : public ::testing::TestWithParam<Representation> {};
+
+TEST_P(StrategyNoiseTest, MeasureNoiseHasLaplaceVariance) {
+  // Var[Lap(b)] = 2 b^2 with b = sens / eps.
+  Rng rng(5);
+  const std::unique_ptr<Strategy> s = SmallStrategy(GetParam());
+  const double eps = 1.3;
+  const double b = s->Sensitivity() / eps;
+  const NoiseMoments m = MeasureNoiseMoments(
+      *s, [&](const Vector& x) { return s->Measure(x, eps, &rng); });
+  EXPECT_NEAR(m.mean, 0.0, 0.05 * b);
+  EXPECT_NEAR(m.variance, 2.0 * b * b, 0.1 * 2.0 * b * b);
+}
+
+TEST_P(StrategyNoiseTest, GaussianMeasureNoiseHasCalibratedVariance) {
+  // Var[N(0, sigma^2)] = sigma^2 with sigma = sens_2 / sqrt(2 rho).
   Rng rng(6);
-  ExplicitStrategy s(IdentityBlock(4));
-  const double eps = 0.8, delta = 1e-5;
-  const double sigma = GaussianNoiseScale(1.0, eps, delta);
-  Vector x = {3.0, 0.0, 9.0, 4.0};
-
-  const int trials = 20000;
-  double sum = 0.0, sum_sq = 0.0;
-  int64_t count = 0;
-  for (int t = 0; t < trials; ++t) {
-    Vector y = MeasureGaussian(s, x, 1.0, eps, delta, &rng);
-    for (size_t i = 0; i < y.size(); ++i) {
-      const double noise = y[i] - x[i];
-      sum += noise;
-      sum_sq += noise * noise;
-      ++count;
-    }
-  }
-  const double mean = sum / static_cast<double>(count);
-  const double var = sum_sq / static_cast<double>(count) - mean * mean;
-  EXPECT_NEAR(mean, 0.0, 0.05 * sigma);
-  EXPECT_NEAR(var, sigma * sigma, 0.1 * sigma * sigma);
+  const std::unique_ptr<Strategy> s = SmallStrategy(GetParam());
+  const double rho = 0.3;
+  const double sigma = s->L2Sensitivity() / std::sqrt(2.0 * rho);
+  const NoiseMoments m = MeasureNoiseMoments(
+      *s, [&](const Vector& x) { return s->MeasureGaussian(x, rho, &rng); });
+  EXPECT_NEAR(m.mean, 0.0, 0.05 * sigma);
+  EXPECT_NEAR(m.variance, sigma * sigma, 0.1 * sigma * sigma);
 }
+
+INSTANTIATE_TEST_SUITE_P(Privacy, StrategyNoiseTest,
+                         ::testing::Values(Representation::kExplicit,
+                                           Representation::kKron,
+                                           Representation::kUnionKron,
+                                           Representation::kMarginals),
+                         RepresentationName);
 
 TEST(Privacy, NoiseScalesInverselyWithEpsilon) {
   Rng rng(7);

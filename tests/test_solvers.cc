@@ -3,7 +3,6 @@
 #include "common/rng.h"
 #include "linalg/cg.h"
 #include "linalg/lsmr.h"
-#include "linalg/cholesky.h"
 #include "linalg/pinv.h"
 #include "linalg/trace_estimator.h"
 
@@ -65,7 +64,7 @@ TEST(TraceEstimator, ApproximatesExactTrace) {
   Matrix b = Matrix::RandomUniform(14, 10, &rng, -1.0, 1.0);
   Matrix g = Gram(b);
 
-  double exact = TraceSolveSpd(x, g);
+  double exact = TracePinvGram(x, g);
   DenseOperator xop(x), gop(g);
   TraceEstimatorOptions opts;
   opts.num_samples = 600;

@@ -294,7 +294,10 @@ INSTANTIATE_TEST_SUITE_P(
                         "no factors"},
         BadStrategyText{
             "hdmm-strategy v1\nkind marginals\nname x\ndomain 2 2\ntheta 1 1\n",
-            "2^d"}));
+            "2^d"},
+        BadStrategyText{"hdmm-strategy v1\nkind marginals\nname x\n"
+                        "domain 4294967296 4294967296\ntheta 1 1 1 1\n",
+                        "overflows int64"}));
 
 TEST(StrategyIo, LoadMissingFile) {
   std::string error;

@@ -8,42 +8,15 @@
 #include "common/rng.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/kron.h"
-#include "linalg/pinv.h"
 #include "workload/building_blocks.h"
 
 namespace hdmm {
 namespace {
 
-// Property sweep over shapes: the SVD contract must hold for tall, wide, and
-// square inputs of varying size.
+// Property sweep over shapes: the singular-value contract must hold for
+// tall, wide, and square inputs of varying size.
 class SvdShapeTest
     : public ::testing::TestWithParam<std::pair<int64_t, int64_t>> {};
-
-TEST_P(SvdShapeTest, FactorizationReconstructs) {
-  auto [m, n] = GetParam();
-  Rng rng(m * 131 + n);
-  Matrix a = Matrix::RandomUniform(m, n, &rng, -1.0, 1.0);
-  Svd svd = ComputeSvd(a);
-  const int64_t r = std::min(m, n);
-  EXPECT_EQ(svd.u.rows(), m);
-  EXPECT_EQ(svd.u.cols(), r);
-  EXPECT_EQ(static_cast<int64_t>(svd.singular_values.size()), r);
-  EXPECT_EQ(svd.v.rows(), n);
-  EXPECT_EQ(svd.v.cols(), r);
-  EXPECT_LT(svd.Reconstruct().MaxAbsDiff(a), 1e-9);
-}
-
-TEST_P(SvdShapeTest, FactorsAreOrthonormal) {
-  auto [m, n] = GetParam();
-  Rng rng(m * 977 + n);
-  Matrix a = Matrix::RandomUniform(m, n, &rng, -1.0, 1.0);
-  Svd svd = ComputeSvd(a);
-  const int64_t r = std::min(m, n);
-  // Random dense inputs are full rank with probability 1, so U^T U and
-  // V^T V must both be the r x r identity.
-  EXPECT_LT(Gram(svd.u).MaxAbsDiff(Matrix::Identity(r)), 1e-9);
-  EXPECT_LT(Gram(svd.v).MaxAbsDiff(Matrix::Identity(r)), 1e-9);
-}
 
 TEST_P(SvdShapeTest, SingularValuesDescendingAndNonNegative) {
   auto [m, n] = GetParam();
@@ -94,22 +67,9 @@ TEST(Svd, DiagonalMatrixExact) {
 
 TEST(Svd, ZeroMatrix) {
   Matrix a = Matrix::Zeros(4, 3);
-  Svd svd = ComputeSvd(a);
-  for (double sv : svd.singular_values) EXPECT_EQ(sv, 0.0);
-  EXPECT_EQ(svd.Rank(), 0);
-  EXPECT_LT(svd.Reconstruct().MaxAbsDiff(a), 1e-15);
-}
-
-TEST(Svd, RankDetection) {
-  // Rank-2 matrix built from two outer products.
-  Rng rng(42);
-  Matrix b = Matrix::RandomUniform(7, 2, &rng, -1.0, 1.0);
-  Matrix c = Matrix::RandomUniform(2, 5, &rng, -1.0, 1.0);
-  Matrix a = MatMul(b, c);
-  Svd svd = ComputeSvd(a);
-  EXPECT_EQ(svd.Rank(1e-9), 2);
-  // Reconstruction holds even with the rank deficiency.
-  EXPECT_LT(svd.Reconstruct().MaxAbsDiff(a), 1e-9);
+  Vector s = SingularValues(a);
+  ASSERT_EQ(s.size(), 3u);
+  for (double sv : s) EXPECT_EQ(sv, 0.0);
 }
 
 TEST(Svd, PrefixSingularValuesKnownForm) {
@@ -131,17 +91,6 @@ TEST(Svd, PrefixSingularValuesKnownForm) {
 TEST(Svd, NuclearAndSpectralNorms) {
   Matrix a = Matrix::Diagonal({4.0, 3.0, 0.0});
   EXPECT_NEAR(NuclearNorm(a), 7.0, 1e-12);
-  EXPECT_NEAR(SpectralNorm(a), 4.0, 1e-12);
-}
-
-TEST(Svd, SpectralNormBoundsFrobenius) {
-  Rng rng(11);
-  Matrix a = Matrix::RandomUniform(9, 6, &rng, -1.0, 1.0);
-  const double frob = std::sqrt(a.FrobeniusNormSquared());
-  const double spec = SpectralNorm(a);
-  const double nuc = NuclearNorm(a);
-  EXPECT_LE(spec, frob + 1e-10);
-  EXPECT_LE(frob, nuc + 1e-10);
 }
 
 TEST(Svd, KroneckerSingularValuesAreProducts) {
@@ -161,47 +110,6 @@ TEST(Svd, KroneckerSingularValuesAreProducts) {
   ASSERT_EQ(s_kron.size(), products.size());
   for (size_t i = 0; i < products.size(); ++i) {
     EXPECT_NEAR(s_kron[i], products[i], 1e-9);
-  }
-}
-
-TEST(PinvViaSvd, MatchesGramPinvFullRank) {
-  Rng rng(21);
-  Matrix a = Matrix::RandomUniform(10, 6, &rng, -1.0, 1.0);
-  Matrix p1 = PinvViaSvd(a);
-  Matrix p2 = PseudoInverse(a);
-  EXPECT_LT(p1.MaxAbsDiff(p2), 1e-8);
-}
-
-TEST(PinvViaSvd, PenroseConditionsRankDeficient) {
-  // Heavy rank deficiency: 10 x 8 with rank 3.
-  Rng rng(22);
-  Matrix b = Matrix::RandomUniform(10, 3, &rng, -1.0, 1.0);
-  Matrix c = Matrix::RandomUniform(3, 8, &rng, -1.0, 1.0);
-  Matrix a = MatMul(b, c);
-  Matrix p = PinvViaSvd(a);
-  // All four Penrose conditions.
-  EXPECT_LT(MatMul(MatMul(a, p), a).MaxAbsDiff(a), 1e-8);
-  EXPECT_LT(MatMul(MatMul(p, a), p).MaxAbsDiff(p), 1e-8);
-  Matrix ap = MatMul(a, p);
-  Matrix pa = MatMul(p, a);
-  EXPECT_LT(ap.MaxAbsDiff(ap.Transposed()), 1e-8);
-  EXPECT_LT(pa.MaxAbsDiff(pa.Transposed()), 1e-8);
-}
-
-TEST(PinvViaSvd, LeastSquaresMinimumNorm) {
-  // For an underdetermined consistent system, A^+ b is the minimum-norm
-  // solution: it lies in the row space of A, i.e. x = V V^T x.
-  Rng rng(23);
-  Matrix a = Matrix::RandomUniform(3, 7, &rng, -1.0, 1.0);
-  Vector b = {1.0, -2.0, 0.5};
-  Vector x = MatVec(PinvViaSvd(a), b);
-  Vector back = MatVec(a, x);
-  for (size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(back[i], b[i], 1e-9);
-
-  Svd svd = ComputeSvd(a);
-  Vector projected = MatVec(svd.v, MatTVec(svd.v, x));
-  for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(projected[i], x[i], 1e-9) << "component outside rowspace";
   }
 }
 

@@ -192,9 +192,13 @@ bool ParseDomainSpec(const std::string& spec, Domain* out) {
                    current.c_str());
       return false;
     }
-    char* end = nullptr;
-    const long long size = std::strtoll(current.c_str() + eq + 1, &end, 10);
-    if (*end != '\0' || size < 1) {
+    // Strict: digits only, and a size beyond int64 fails instead of
+    // clamping.
+    const char* last = current.data() + current.size();
+    int64_t size = 0;
+    const std::from_chars_result parsed =
+        std::from_chars(current.data() + eq + 1, last, size);
+    if (parsed.ec != std::errc() || parsed.ptr != last || size < 1) {
       std::fprintf(stderr, "bad attribute size in '%s'\n", current.c_str());
       return false;
     }
@@ -203,6 +207,12 @@ bool ParseDomainSpec(const std::string& spec, Domain* out) {
   }
   if (names.empty()) {
     std::fprintf(stderr, "empty domain spec\n");
+    return false;
+  }
+  int64_t cells = 0;
+  if (!CheckedCellCount(sizes, &cells)) {
+    std::fprintf(stderr, "domain '%s': cell count overflows int64\n",
+                 spec.c_str());
     return false;
   }
   *out = Domain(std::move(names), std::move(sizes));
