@@ -6,6 +6,8 @@
 //   batch  10k box queries answered one dense row at a time (today's
 //          `W x_hat` serving path) vs AnswerBatch over the session's
 //          summed-area table, pool-parallel
+//   queries  ns per text query line through ParseQueryLine, on batches of
+//          CPS point/marginal/range lines like a served request's
 //
 // Emits BENCH_engine.json in the working directory; the CI smoke job parses
 // it and fails the build if the cache ever gets slower than a cold plan.
@@ -390,9 +392,76 @@ BatchTimings BenchBatch(const Domain& domain, int64_t num_queries) {
   return t;
 }
 
+struct ParseTimings {
+  int64_t lines = 0;
+  double ns_per_line = 0.0;
+};
+
+// The serving tier's other per-query cost: a request arrives as text lines
+// that are parsed before AnswerBatch runs. The lines mix point, marginal and
+// range queries on the CPS schema; the first half of each batch binds two
+// attributes (what a 2-way marginal table covers), the rest three or more.
+// Each batch parses into a fresh vector, as a served request does. Best of
+// 15 passes over all batches (~0.1 s): a shared host's slow spells last
+// longer than one pass.
+ParseTimings BenchParse() {
+  constexpr int kBatches = 64;
+  constexpr int kBatchSize = 256;
+  const Domain cps({"income", "age", "race", "hispanic", "sex"},
+                   {100, 50, 7, 4, 2});
+  const int d = cps.NumAttributes();
+  Rng rng(23);
+  std::vector<std::vector<std::string>> batches(kBatches);
+  for (std::vector<std::string>& batch : batches) {
+    for (int q = 0; q < kBatchSize; ++q) {
+      const int arity =
+          q < kBatchSize / 2 ? 2 : static_cast<int>(rng.UniformInt(3, d));
+      std::vector<int> attrs = rng.Permutation(d);
+      attrs.resize(static_cast<size_t>(arity));
+      std::sort(attrs.begin(), attrs.end());
+      const bool ranges = rng.UniformInt(0, 3) != 0;
+      std::string line = ranges ? "range" : arity == d ? "point" : "marginal";
+      for (int a : attrs) {
+        const int64_t n = cps.AttributeSize(a);
+        const int64_t extent = ranges ? rng.UniformInt(1, n) : 1;
+        const int64_t lo = rng.UniformInt(0, n - extent);
+        line += " " + cps.AttributeName(a) + "=" + std::to_string(lo);
+        if (ranges) line += ":" + std::to_string(lo + extent - 1);
+      }
+      batch.push_back(std::move(line));
+    }
+  }
+
+  ParseTimings t;
+  t.lines = int64_t{kBatches} * kBatchSize;
+  int64_t failed = 0;
+  std::string error;
+  for (int pass = 0; pass < 15; ++pass) {
+    WallTimer timer;
+    for (const std::vector<std::string>& batch : batches) {
+      std::vector<BoxQuery> parsed(batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (!ParseQueryLine(batch[i], cps, &parsed[i], &error)) ++failed;
+      }
+    }
+    const double ns = timer.Seconds() * 1e9 / static_cast<double>(t.lines);
+    t.ns_per_line = pass == 0 ? ns : std::min(t.ns_per_line, ns);
+  }
+  std::printf("  ParseQueryLine:            %9.1f ns/line  (%lld lines, "
+              "batches of %d)\n",
+              t.ns_per_line, static_cast<long long>(t.lines), kBatchSize);
+  if (failed != 0) {
+    std::fprintf(stderr, "%lld generated lines did not parse: %s\n",
+                 static_cast<long long>(failed), error.c_str());
+    t.ns_per_line = 0.0;  // Fails the CI gate's > 0 check.
+  }
+  return t;
+}
+
 void WriteJson(const PlanTimings& plan, const FailpointTimings& fp,
                const MetricsTimings& mt, const BatchTimings& batch,
-               const GovernorTimings& gov, const char* path) {
+               const GovernorTimings& gov, const ParseTimings& parse,
+               const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "could not open %s for writing\n", path);
@@ -431,6 +500,10 @@ void WriteJson(const PlanTimings& plan, const FailpointTimings& fp,
                "\"admit_release_us\": %.4f, "
                "\"overhead_pct_bound\": %.6f},\n",
                gov.touch_ns, gov.admit_release_us, gov.overhead_pct_bound);
+  std::fprintf(f,
+               "  \"queries\": {\"lines\": %lld, "
+               "\"parse_ns_per_line\": %.1f},\n",
+               static_cast<long long>(parse.lines), parse.ns_per_line);
   // Live registry snapshot: the cache_hits/misses/quarantine counters CI
   // asserts on come from the same metrics the serving tier reports, not
   // from bench-local bookkeeping.
@@ -467,6 +540,9 @@ int main(int argc, char** argv) {
   std::printf("\n=== serving engine: governor overhead ===\n");
   const GovernorTimings gov = BenchGovernor(batch);
 
-  WriteJson(plan, fp, mt, batch, gov, "BENCH_engine.json");
+  std::printf("\n=== serving engine: query-line parsing ===\n");
+  const ParseTimings parse = BenchParse();
+
+  WriteJson(plan, fp, mt, batch, gov, parse, "BENCH_engine.json");
   return 0;
 }

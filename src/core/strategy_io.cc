@@ -17,7 +17,8 @@ namespace {
 constexpr char kHeader[] = "hdmm-strategy v1";
 
 void AppendDouble(std::ostringstream* out, double v) {
-  if (v == static_cast<int64_t>(v) && std::abs(v) < 1e15) {
+  // Range first: casting NaN or a double past int64's range is UB.
+  if (std::abs(v) < 1e15 && v == static_cast<int64_t>(v)) {
     *out << static_cast<int64_t>(v);
   } else {
     char buf[64];
@@ -107,7 +108,10 @@ bool ParseMatrixLine(const std::string& line, const std::string& tag,
   std::istringstream values(payload);
   while (std::getline(values, token, ',')) {
     const double v = std::strtod(token.c_str(), &end);
-    if (token.empty() || end != token.c_str() + token.size()) {
+    // A non-finite entry (nan, inf, or an overflowing 1e400) is corruption:
+    // served, it turns every answer and error estimate into nan.
+    if (token.empty() || end != token.c_str() + token.size() ||
+        !std::isfinite(v)) {
       *why = "bad entry '" + token + "'";
       return false;
     }

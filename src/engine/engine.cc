@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
@@ -21,50 +23,79 @@ namespace hdmm {
 
 namespace {
 
+// The classic-locale whitespace set that `operator>>` and strtoll skip.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+// Cuts the next whitespace-delimited token off the front of `*rest`. Returns
+// an empty view once only whitespace is left.
+std::string_view NextToken(std::string_view* rest) {
+  size_t begin = 0;
+  while (begin < rest->size() && IsSpace((*rest)[begin])) ++begin;
+  size_t end = begin;
+  while (end < rest->size() && !IsSpace((*rest)[end])) ++end;
+  const std::string_view token(rest->data() + begin, end - begin);
+  rest->remove_prefix(end);
+  return token;
+}
+
+// Reads all of `text` as a base-10 integer, accepting what strtoll accepts
+// from a whitespace-free token: one optional sign, then digits. Out-of-range
+// values saturate to the int64 limits, as strtoll clamps them.
+bool ParseInt(std::string_view text, int64_t* out) {
+  if (!text.empty() && text[0] == '+') {
+    text.remove_prefix(1);
+    if (!text.empty() && text[0] == '-') return false;  // from_chars takes it.
+  }
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (ptr != end || ec == std::errc::invalid_argument) return false;
+  if (ec == std::errc::result_out_of_range) {
+    *out = text[0] == '-' ? std::numeric_limits<int64_t>::min()
+                          : std::numeric_limits<int64_t>::max();
+  }
+  return true;
+}
+
 // Resolves an attribute reference (name, or zero-based index for fully
 // unnamed domains) without dying on unknown input — serve-mode queries are
 // user-supplied and must fail softly. Named schemas never accept bare
 // indices: positions silently shift when the schema changes, and a wrong
 // answer is worse than a rejected query.
-bool ResolveAttribute(const Domain& domain, const std::string& ref, int* out) {
+bool ResolveAttribute(const Domain& domain, std::string_view ref, int* out) {
   bool any_named = false;
   for (int i = 0; i < domain.NumAttributes(); ++i) {
-    if (domain.AttributeName(i).empty()) continue;
+    const std::string& name = domain.AttributeName(i);
+    if (name.empty()) continue;
     any_named = true;
-    if (domain.AttributeName(i) == ref) {
+    if (name == ref) {
       *out = i;
       return true;
     }
   }
   if (any_named) return false;
-  char* end = nullptr;
-  const long idx = std::strtol(ref.c_str(), &end, 10);
-  if (!ref.empty() && end == ref.c_str() + ref.size() && idx >= 0 &&
-      idx < domain.NumAttributes()) {
-    *out = static_cast<int>(idx);
-    return true;
+  int64_t idx = 0;
+  if (!ParseInt(ref, &idx) || idx < 0 || idx >= domain.NumAttributes()) {
+    return false;
   }
-  return false;
+  *out = static_cast<int>(idx);
+  return true;
 }
 
-bool ParseBound(const std::string& text, int64_t* lo, int64_t* hi,
+bool ParseBound(std::string_view text, int64_t* lo, int64_t* hi,
                 bool allow_range) {
   const size_t colon = text.find(':');
-  char* end = nullptr;
-  if (colon == std::string::npos) {
-    *lo = std::strtoll(text.c_str(), &end, 10);
-    if (text.empty() || end != text.c_str() + text.size()) return false;
+  if (colon == std::string_view::npos) {
+    if (!ParseInt(text, lo)) return false;
     *hi = *lo;
     return true;
   }
-  if (!allow_range) return false;
-  const std::string a = text.substr(0, colon);
-  const std::string b = text.substr(colon + 1);
-  *lo = std::strtoll(a.c_str(), &end, 10);
-  if (a.empty() || end != a.c_str() + a.size()) return false;
-  *hi = std::strtoll(b.c_str(), &end, 10);
-  if (b.empty() || end != b.c_str() + b.size()) return false;
-  return true;
+  return allow_range && ParseInt(std::string_view(text.data(), colon), lo) &&
+         ParseInt(std::string_view(text.data() + colon + 1,
+                                   text.size() - colon - 1),
+                  hi);
 }
 
 // Store build/read failures inside a session are fatal: there is no way to
@@ -139,61 +170,71 @@ BoxQuery FullRangeQuery(const Domain& domain) {
 bool ParseQueryLine(const std::string& line, const Domain& domain,
                     BoxQuery* out, std::string* error) {
   HDMM_CHECK(out != nullptr && error != nullptr);
-  std::istringstream in(line);
-  std::string kind;
-  in >> kind;
+  std::string_view rest = line;
+  const std::string_view kind = NextToken(&rest);
   if (kind != "point" && kind != "marginal" && kind != "range") {
-    *error = "unknown query kind '" + kind +
+    *error = "unknown query kind '" + std::string(kind) +
              "' (want point | marginal | range)";
     return false;
   }
   const bool allow_range = kind == "range";
-  *out = FullRangeQuery(domain);
-  std::vector<bool> seen(static_cast<size_t>(domain.NumAttributes()), false);
+  const int d = domain.NumAttributes();
+  // An attribute's lo stays -1 until a term binds it, which is how a second
+  // binding of the same attribute shows.
+  out->lo.assign(static_cast<size_t>(d), -1);
+  out->hi.assign(static_cast<size_t>(d), -1);
 
-  std::string token;
   int bound_count = 0;
-  while (in >> token) {
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      *error = "bad term '" + token + "' (want attr=value)";
+  for (std::string_view term = NextToken(&rest); !term.empty();
+       term = NextToken(&rest)) {
+    const size_t eq = term.find('=');
+    if (eq == std::string_view::npos || eq == 0) {
+      *error = "bad term '" + std::string(term) + "' (want attr=value)";
       return false;
     }
-    const std::string ref = token.substr(0, eq);
+    const std::string_view ref(term.data(), eq);
     int attr = -1;
     if (!ResolveAttribute(domain, ref, &attr)) {
-      *error = "unknown attribute '" + ref + "'";
+      *error = "unknown attribute '" + std::string(ref) + "'";
       return false;
     }
-    if (seen[static_cast<size_t>(attr)]) {
-      *error = "attribute '" + ref + "' bound twice";
+    const size_t a = static_cast<size_t>(attr);
+    if (out->lo[a] >= 0) {
+      *error = "attribute '" + std::string(ref) + "' bound twice";
       return false;
     }
-    seen[static_cast<size_t>(attr)] = true;
+    const std::string_view value(term.data() + eq + 1, term.size() - eq - 1);
     int64_t lo = 0, hi = 0;
-    if (!ParseBound(token.substr(eq + 1), &lo, &hi, allow_range)) {
-      *error = "bad value '" + token.substr(eq + 1) + "'" +
+    if (!ParseBound(value, &lo, &hi, allow_range)) {
+      *error = "bad value '" + std::string(value) + "'" +
                (allow_range ? " (want V or LO:HI)" : " (want a single value)");
       return false;
     }
     if (lo < 0 || hi < lo || hi >= domain.AttributeSize(attr)) {
-      *error = "bounds for '" + ref + "' outside [0, " +
+      *error = "bounds for '" + std::string(ref) + "' outside [0, " +
                std::to_string(domain.AttributeSize(attr) - 1) + "]";
       return false;
     }
-    out->lo[static_cast<size_t>(attr)] = lo;
-    out->hi[static_cast<size_t>(attr)] = hi;
+    out->lo[a] = lo;
+    out->hi[a] = hi;
     ++bound_count;
   }
-  if (kind == "point" && bound_count != domain.NumAttributes()) {
+  if (kind == "point" && bound_count != d) {
     *error = "point query must fix every attribute (" +
-             std::to_string(bound_count) + " of " +
-             std::to_string(domain.NumAttributes()) + " given)";
+             std::to_string(bound_count) + " of " + std::to_string(d) +
+             " given)";
     return false;
   }
   if (bound_count == 0 && kind != "range") {
     *error = "query binds no attributes";
     return false;
+  }
+  for (int i = 0; i < d; ++i) {  // Unbound attributes span their full range.
+    const size_t a = static_cast<size_t>(i);
+    if (out->lo[a] < 0) {
+      out->lo[a] = 0;
+      out->hi[a] = domain.AttributeSize(i) - 1;
+    }
   }
   return true;
 }

@@ -78,7 +78,12 @@ BoxQuery FullRangeQuery(const Domain& domain);
 /// silently binding positions would answer the wrong query if the schema
 /// order ever changes). Returns false with a message on malformed input,
 /// unknown attributes, out-of-range values, or (for `point`) missing
-/// attributes.
+/// attributes; `*out` is then unspecified.
+///
+/// Tokens are separated by runs of the classic-locale whitespace set (space,
+/// \t, \n, \v, \f, \r). Values and indices are base-10 integers with one
+/// optional `+` or `-`, as strtoll reads them; a value past int64's range
+/// saturates and so fails the bounds check.
 bool ParseQueryLine(const std::string& line, const Domain& domain,
                     BoxQuery* out, std::string* error);
 

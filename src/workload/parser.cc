@@ -319,7 +319,8 @@ std::string MatrixLiteral(const Matrix& m) {
   for (int64_t i = 0; i < m.size(); ++i) {
     if (i > 0) out << ",";
     double v = m.data()[i];
-    if (v == static_cast<int64_t>(v)) {
+    // Range first: casting NaN or a double past int64's range is UB.
+    if (std::abs(v) < 0x1p63 && v == static_cast<int64_t>(v)) {
       out << static_cast<int64_t>(v);
     } else {
       char buf[64];

@@ -829,6 +829,198 @@ TEST(Queries, ParseQueryLineRejections) {
   EXPECT_NE(error.find("binds no attributes"), std::string::npos);
 }
 
+// The query-line grammar at its edges, pinned line by line: the whitespace
+// set that separates tokens, signs, overflow, malformed bounds and terms.
+// Each line either parses to exactly `lo`/`hi` or fails with exactly
+// `error`.
+struct QueryLineCase {
+  std::string line;
+  bool unnamed;  ///< Parse against the unnamed domain instead of sex/age.
+  std::vector<int64_t> lo, hi;
+  std::string error;  ///< Empty when the line must parse.
+};
+
+TEST(Queries, ParseQueryLineEdgeCases) {
+  const Domain named({"sex", "age"}, {2, 8});
+  const Domain unnamed({2, 8});
+  const std::vector<QueryLineCase> cases = {
+      // Tokens split on space, \t, \n, \v, \f and \r, in runs, anywhere.
+      {"\tpoint\tsex=1\tage=3\t", false, {1, 3}, {1, 3}, ""},
+      {"\vmarginal\f sex=0\r", false, {0, 0}, {0, 7}, ""},
+      {"range\v\fage=2:5\n", false, {0, 2}, {1, 5}, ""},
+      {"   range   age=2:5   sex=1   ", false, {1, 2}, {1, 5}, ""},
+      {" \t\r\n point sex=1 \v\f age=3 \r\n", false, {1, 3}, {1, 3}, ""},
+      // One optional sign, as strtoll reads it.
+      {"marginal sex=+1", false, {1, 0}, {1, 7}, ""},
+      {"marginal sex=-0", false, {0, 0}, {0, 7}, ""},
+      {"range age=+2:-0", false, {}, {}, "bounds for 'age' outside [0, 7]"},
+      {"range age=-0:+7", false, {0, 0}, {1, 7}, ""},
+      {"marginal sex=+-1", false, {}, {},
+       "bad value '+-1' (want a single value)"},
+      {"marginal sex=-+1", false, {}, {},
+       "bad value '-+1' (want a single value)"},
+      {"marginal sex=++1", false, {}, {},
+       "bad value '++1' (want a single value)"},
+      {"marginal sex=+", false, {}, {}, "bad value '+' (want a single value)"},
+      {"marginal sex=-", false, {}, {}, "bad value '-' (want a single value)"},
+      {"marginal sex=0x1", false, {}, {},
+       "bad value '0x1' (want a single value)"},
+      {"marginal sex=1e0", false, {}, {},
+       "bad value '1e0' (want a single value)"},
+      {"range sex=1.0", false, {}, {}, "bad value '1.0' (want V or LO:HI)"},
+      // Overflow saturates, so it fails the bounds check, not the syntax.
+      {"marginal age=99999999999999999999", false, {}, {},
+       "bounds for 'age' outside [0, 7]"},
+      {"range age=-99999999999999999999:3", false, {}, {},
+       "bounds for 'age' outside [0, 7]"},
+      {"range age=0:99999999999999999999", false, {}, {},
+       "bounds for 'age' outside [0, 7]"},
+      {"marginal age=9223372036854775807", false, {}, {},
+       "bounds for 'age' outside [0, 7]"},
+      {"marginal age=-9223372036854775808", false, {}, {},
+       "bounds for 'age' outside [0, 7]"},
+      {"marginal age=00000000000000000000000000003", false, {0, 3}, {1, 3}, ""},
+      // Ranges need both ends and one colon; other kinds take one value.
+      {"range age=2:", false, {}, {}, "bad value '2:' (want V or LO:HI)"},
+      {"range age=:3", false, {}, {}, "bad value ':3' (want V or LO:HI)"},
+      {"range age=:", false, {}, {}, "bad value ':' (want V or LO:HI)"},
+      {"range age=1:2:3", false, {}, {},
+       "bad value '1:2:3' (want V or LO:HI)"},
+      {"range age=5:2", false, {}, {}, "bounds for 'age' outside [0, 7]"},
+      {"range age=4", false, {0, 4}, {1, 4}, ""},
+      {"point sex=1 age=2:3", false, {}, {},
+       "bad value '2:3' (want a single value)"},
+      {"marginal age=", false, {}, {}, "bad value '' (want a single value)"},
+      // Terms are attr=value with a non-empty attr.
+      {"marginal =1", false, {}, {}, "bad term '=1' (want attr=value)"},
+      {"marginal age", false, {}, {}, "bad term 'age' (want attr=value)"},
+      {"marginal age==1", false, {}, {},
+       "bad value '=1' (want a single value)"},
+      {"marginal Age=1", false, {}, {}, "unknown attribute 'Age'"},
+      {"marginal ag=1", false, {}, {}, "unknown attribute 'ag'"},
+      {"marginal agee=1", false, {}, {}, "unknown attribute 'agee'"},
+      {"marginal age=1 sex=0 age=2", false, {}, {},
+       "attribute 'age' bound twice"},
+      {"marginal age=1 age=zz", false, {}, {}, "attribute 'age' bound twice"},
+      {"marginal age=zz age=1", false, {}, {},
+       "bad value 'zz' (want a single value)"},
+      {"marginal sex=2 sex=0", false, {}, {},
+       "bounds for 'sex' outside [0, 1]"},
+      // Bare indices bind only on an unnamed domain, with strtol's sign.
+      {"range +1=0:1", true, {0, 0}, {1, 1}, ""},
+      {"range -0=1", true, {1, 0}, {1, 7}, ""},
+      {"range 1=0:1 +1=2", true, {}, {}, "attribute '+1' bound twice"},
+      {"range 2=0", true, {}, {}, "unknown attribute '2'"},
+      {"range -1=0", true, {}, {}, "unknown attribute '-1'"},
+      {"range 1x=0", true, {}, {}, "unknown attribute '1x'"},
+      {"range 99999999999999999999=0", true, {}, {},
+       "unknown attribute '99999999999999999999'"},
+      {"range +1=0:1", false, {}, {}, "unknown attribute '+1'"},
+      {"point 0=1 1=7", true, {1, 7}, {1, 7}, ""},
+      // `range` with no terms is the Total query; other kinds need terms.
+      {"range", false, {0, 0}, {1, 7}, ""},
+      {" range \t", true, {0, 0}, {1, 7}, ""},
+      {"marginal", false, {}, {}, "query binds no attributes"},
+      {"point", false, {}, {},
+       "point query must fix every attribute (0 of 2 given)"},
+      {"point age=3", false, {}, {},
+       "point query must fix every attribute (1 of 2 given)"},
+      // The kind is the first token, matched exactly.
+      {"", false, {}, {},
+       "unknown query kind '' (want point | marginal | range)"},
+      {" \t\v\f\r\n ", false, {}, {},
+       "unknown query kind '' (want point | marginal | range)"},
+      {"Point sex=1 age=3", false, {}, {},
+       "unknown query kind 'Point' (want point | marginal | range)"},
+      {"pointsex=1", false, {}, {},
+       "unknown query kind 'pointsex=1' (want point | marginal | range)"},
+  };
+  for (const QueryLineCase& c : cases) {
+    SCOPED_TRACE("line '" + c.line + "'");
+    BoxQuery q;
+    std::string error;
+    const bool ok =
+        ParseQueryLine(c.line, c.unnamed ? unnamed : named, &q, &error);
+    if (c.error.empty()) {
+      ASSERT_TRUE(ok) << error;
+      EXPECT_EQ(q.lo, c.lo);
+      EXPECT_EQ(q.hi, c.hi);
+    } else {
+      ASSERT_FALSE(ok);
+      EXPECT_EQ(error, c.error);
+    }
+  }
+}
+
+// Every truncation of a seeded corpus of valid lines, and every byte flipped
+// into a separator, sign, digit, tab or NUL, either fails with a message or
+// yields an in-bounds box: outside bytes never abort or escape the domain.
+TEST(Queries, ParseQueryLineMutationsNeverAbort) {
+  const Domain named({"income", "age", "race", "hispanic", "sex"},
+                     {100, 50, 7, 4, 2});
+  const Domain unnamed({3, 5, 7});
+  const std::string flips(" =:+-0123456789\t\0", 17);
+  int parsed = 0, rejected = 0;
+  for (const Domain* domain : {&named, &unnamed}) {
+    const int d = domain->NumAttributes();
+    const bool has_names = !domain->AttributeName(0).empty();
+    Rng rng(0x5e7);
+    std::vector<std::string> corpus;
+    for (int n = 0; n < 24; ++n) {
+      const int kind = static_cast<int>(rng.UniformInt(0, 2));
+      int arity = kind == 0 ? d : static_cast<int>(rng.UniformInt(1, d));
+      std::string line = kind == 0 ? "point" : kind == 1 ? "marginal" : "range";
+      for (int a : rng.Permutation(d)) {
+        if (arity-- == 0) break;
+        const int64_t size = domain->AttributeSize(a);
+        const int64_t lo = rng.UniformInt(0, size - 1);
+        const std::string ref =
+            has_names ? domain->AttributeName(a) : std::to_string(a);
+        line += " " + ref + "=" + std::to_string(lo);
+        if (kind == 2) {
+          line += ":" + std::to_string(rng.UniformInt(lo, size - 1));
+        }
+      }
+      corpus.push_back(line);
+    }
+    std::vector<std::string> inputs;
+    for (const std::string& line : corpus) {
+      for (size_t cut = 0; cut <= line.size(); ++cut) {
+        inputs.push_back(line.substr(0, cut));
+      }
+      for (size_t i = 0; i < line.size(); ++i) {
+        for (char flip : flips) {
+          std::string mutated = line;
+          mutated[i] = flip;
+          inputs.push_back(mutated);
+        }
+      }
+    }
+    for (const std::string& input : inputs) {
+      BoxQuery q;
+      std::string error;
+      if (!ParseQueryLine(input, *domain, &q, &error)) {
+        EXPECT_FALSE(error.empty()) << "no message for '" << input << "'";
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      ASSERT_EQ(q.lo.size(), static_cast<size_t>(d)) << input;
+      ASSERT_EQ(q.hi.size(), static_cast<size_t>(d)) << input;
+      for (int a = 0; a < d; ++a) {
+        const size_t i = static_cast<size_t>(a);
+        EXPECT_TRUE(0 <= q.lo[i] && q.lo[i] <= q.hi[i] &&
+                    q.hi[i] < domain->AttributeSize(a))
+            << "'" << input << "' attribute " << a << ": [" << q.lo[i]
+            << ", " << q.hi[i] << "]";
+      }
+    }
+  }
+  // Both outcomes occur, so the corpus exercises both paths.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 // Brute-force box sum for cross-checking the summed-area table.
 double BruteForceBox(const Domain& d, const Vector& x, const BoxQuery& q) {
   double total = 0.0;

@@ -216,6 +216,21 @@ TEST(Parser, SerializeFallsBackToMatrixLiteral) {
             0.0);
 }
 
+TEST(Parser, SerializeRoundTripsHugeMatrixEntries) {
+  // Entries past int64's range are printed with %.17g, never through an
+  // integer cast, so they come back bit for bit.
+  UnionWorkload w = ParseWorkloadOrDie(
+      "domain a=2\nproduct a=matrix(2x2:1e300,1,-1e300,9223372036854775808)\n");
+  const std::string spec = SerializeWorkload(w);
+  UnionWorkload back = ParseWorkloadOrDie(spec);
+  const Matrix& original = w.products()[0].factors[0];
+  const Matrix& restored = back.products()[0].factors[0];
+  ASSERT_EQ(restored.size(), original.size()) << spec;
+  for (int64_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(restored.data()[i], original.data()[i]) << spec;
+  }
+}
+
 TEST(Parser, UnnamedDomainSerializesWithGeneratedNames) {
   UnionWorkload w = MakeProductWorkload(Domain({4, 2}),
                                         {PrefixBlock(4), IdentityBlock(2)});

@@ -148,6 +148,22 @@ TEST(StrategyIo, ExactDoubleFidelity) {
   EXPECT_EQ(k->factors()[0].MaxAbsDiff(original.factors()[0]), 0.0);
 }
 
+TEST(StrategyIo, HugeEntriesRoundTripExactly) {
+  // Entries past int64's range take the %.17g path, never an integer cast:
+  // 1e300 and 2^63 must come back bit for bit.
+  ExplicitStrategy original(
+      Matrix::FromRows({{1e300, -1e300}, {0x1p63, -0x1p63}, {1e15, 3.0}}),
+      "huge");
+  std::string error;
+  auto restored = ParseStrategy(SerializeStrategy(original), &error);
+  ASSERT_NE(restored, nullptr) << error;
+  auto* e = dynamic_cast<ExplicitStrategy*>(restored.get());
+  ASSERT_NE(e, nullptr);
+  for (int64_t i = 0; i < original.matrix().size(); ++i) {
+    EXPECT_EQ(e->matrix().data()[i], original.matrix().data()[i]) << i;
+  }
+}
+
 // --- Fixed-point fuzzing -----------------------------------------------------
 // serialize(parse(serialize(s))) == serialize(s) for randomized strategies of
 // every kind: one parse/serialize round must already be the normal form, so
@@ -297,7 +313,32 @@ INSTANTIATE_TEST_SUITE_P(
             "2^d"},
         BadStrategyText{"hdmm-strategy v1\nkind marginals\nname x\n"
                         "domain 4294967296 4294967296\ntheta 1 1 1 1\n",
-                        "overflows int64"}));
+                        "overflows int64"},
+        // Non-finite entries, spelled or overflowing, are corruption.
+        BadStrategyText{
+            "hdmm-strategy v1\nkind explicit\nname x\nmatrix 1x2 1,nan\n",
+            "bad entry 'nan'"},
+        BadStrategyText{
+            "hdmm-strategy v1\nkind explicit\nname x\nmatrix 1x2 inf,1\n",
+            "bad entry 'inf'"},
+        BadStrategyText{
+            "hdmm-strategy v1\nkind explicit\nname x\nmatrix 1x2 1,-inf\n",
+            "bad entry '-inf'"},
+        BadStrategyText{
+            "hdmm-strategy v1\nkind explicit\nname x\nmatrix 1x2 1e400,1\n",
+            "bad entry '1e400'"},
+        BadStrategyText{"hdmm-strategy v1\nkind kron\nname x\n"
+                        "factor 2x2 1,0,0,1\nfactor 2x2 1,nan,0,1\n",
+                        "bad entry 'nan'"},
+        BadStrategyText{"hdmm-strategy v1\nkind kron\nname x\n"
+                        "factor 2x2 1,0,0,1\nfactor 2x2 1,inf,0,1\n",
+                        "bad entry 'inf'"},
+        BadStrategyText{"hdmm-strategy v1\nkind kron\nname x\n"
+                        "factor 2x2 1,0,0,1\nfactor 2x2 1,-inf,0,1\n",
+                        "bad entry '-inf'"},
+        BadStrategyText{"hdmm-strategy v1\nkind kron\nname x\n"
+                        "factor 2x2 1,0,0,1\nfactor 2x2 1,1e400,0,1\n",
+                        "bad entry '1e400'"}));
 
 TEST(StrategyIo, LoadMissingFile) {
   std::string error;
