@@ -5,6 +5,21 @@
 
 #include "common/check.h"
 
+// No FMA contraction in this file. GCC vectorizes the in-order reductions
+// below (gd, sy, the two-loop dots) with a scalar peel up to the vector
+// alignment; the peeled iterations are contracted to fused multiply-adds
+// and the vector body is not, so how many terms round through an FMA
+// depended on where the heap placed each Vector. Plans then varied with
+// unrelated allocations. Separate multiplies and adds make every iterate a
+// pure function of the inputs. (A per-file build flag would not reach
+// builds that compile src/ with their own flags; std::fma is a libm call
+// without -march support for FMA.)
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 namespace hdmm {
 namespace {
 

@@ -7,6 +7,7 @@
 // counts used here (tasks outnumbered by threads — idle workers must not
 // perturb anything) and any CI runner's core count (oversubscription).
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "core/opt_marginals.h"
 #include "core/strategy_io.h"
 #include "workload/building_blocks.h"
+#include "workload/parser.h"
 
 namespace hdmm {
 namespace {
@@ -161,6 +163,44 @@ TEST(PlannerDeterminism, OptimizeStrategyThreadCountInvariant) {
     EXPECT_EQ(SerializeStrategy(*narrow.strategy),
               SerializeStrategy(*wide.strategy))
         << threads;
+  }
+}
+
+TEST(PlannerDeterminism, CpsUnionRepeatsAcrossRoundsAndWidths) {
+  // A CPS union whose winner (union vs kron) once flipped with the heap
+  // addresses of the optimizer's vectors: the vectorized L-BFGS-B loops
+  // peeled a data-dependent number of FMA-contracted iterations. Rounds
+  // re-allocate everything, so each round sees fresh addresses.
+  const UnionWorkload w = ParseWorkloadOrDie(
+      "domain income=100 age=50 race=7 hispanic=4 sex=2\n"
+      "product weight=4.61 income=width(13) age=allrange "
+      "hispanic=width(2)\n"
+      "product weight=4.39 hispanic=width(2) sex=prefix\n"
+      "product weight=4.90 age=width(6) race=width(3)\n"
+      "product weight=1.93 income=identity hispanic=identity\n");
+  HdmmOptions options;
+  std::string first_operator, first_strategy;
+  double first_error = 0.0;
+  for (int round = 0; round < 3; ++round) {
+    for (int threads : {1, 4, 16}) {
+      HdmmResult res =
+          WithRestartThreads(threads, [&] { return OptimizeStrategy(w, options); });
+      std::string strategy = SerializeStrategy(*res.strategy);
+      if (first_strategy.empty()) {
+        first_operator = res.chosen_operator;
+        first_strategy = std::move(strategy);
+        first_error = res.squared_error;
+        continue;
+      }
+      EXPECT_EQ(first_operator, res.chosen_operator)
+          << "round " << round << ", " << threads << " threads";
+      EXPECT_TRUE(BitIdentical(first_error, res.squared_error))
+          << "round " << round << ", " << threads << " threads";
+      // Strategies serialize to ~100 KB; report which run differs, not
+      // both texts.
+      EXPECT_TRUE(first_strategy == strategy)
+          << "round " << round << ", " << threads << " threads";
+    }
   }
 }
 
