@@ -65,7 +65,7 @@ UnionWorkload CensusWorkload() {
 }
 
 uint64_t SelectionHash(const UnionWorkload& w, const HdmmResult& res) {
-  Fnv1aHasher h;
+  WordHasher h;
   h.Bytes(res.chosen_operator.data(), res.chosen_operator.size());
   h.F64(res.squared_error);
   Vector x(static_cast<size_t>(w.DomainSize()));

@@ -17,7 +17,8 @@
 //            workload factor Grams come shared from the GramCache, so
 //            re-scoring a candidate never densifies the implicit factors).
 //   plan     full OPT_HDMM cold plan on the bench_engine census workload,
-//            with GramCache hit/miss/closed-form counts, plus a second
+//            with GramCache hit/miss/closed-form counts and the OPT_0
+//            objective evaluations and gradients it took, plus a second
 //            plan over the warm Gram cache (cross-call reuse).
 //   scaling  cold-plan wall time vs restart count on private pools of
 //            1/2/4 total threads (restarts fan out in parallel), with a
@@ -37,6 +38,7 @@
 
 #include "bench_util.h"
 #include "common/hash.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -548,6 +550,10 @@ struct PlanTimings {
   double warm_gram_s = 0.0;
   GramCache::Stats cold_stats;
   GramCache::Stats warm_stats;
+  // OPT_0 points the cold plan evaluated, and how many of them also needed
+  // a gradient (the starts and the accepted line-search steps).
+  uint64_t cold_objective_evals = 0;
+  uint64_t cold_gradients = 0;
 };
 
 PlanTimings BenchColdPlan(const UnionWorkload& w) {
@@ -556,15 +562,24 @@ PlanTimings BenchColdPlan(const UnionWorkload& w) {
   options.seed = 7;
 
   PlanTimings t;
+  Counter* const evals = Metrics::GetCounter("optimizer.evals");
+  Counter* const gradients = Metrics::GetCounter("optimizer.gradients");
   GramCache::Global().Clear();
   GramCache::Global().ResetStats();
   {
+    const uint64_t evals0 = evals->Value();
+    const uint64_t gradients0 = gradients->Value();
     WallTimer timer;
     HdmmResult res = OptimizeStrategy(w, options);
     t.cold_s = timer.Seconds();
     t.cold_stats = GramCache::Global().stats();
+    t.cold_objective_evals = evals->Value() - evals0;
+    t.cold_gradients = gradients->Value() - gradients0;
     std::printf("  cold plan (empty gram cache): %8.1f ms  -> %s\n",
                 1e3 * t.cold_s, res.chosen_operator.c_str());
+    std::printf("  OPT_0 objective evaluations: %llu, gradients: %llu\n",
+                static_cast<unsigned long long>(t.cold_objective_evals),
+                static_cast<unsigned long long>(t.cold_gradients));
   }
   GramCache::Global().ResetStats();
   {
@@ -603,7 +618,7 @@ struct ThreadArm {
 // entry). Equal digests across pool widths mean the *same bits* were
 // selected, not merely the same operator family.
 uint64_t SelectionHash(const UnionWorkload& w, const HdmmResult& res) {
-  Fnv1aHasher h;
+  WordHasher h;
   h.Bytes(res.chosen_operator.data(), res.chosen_operator.size());
   h.F64(res.squared_error);
   Vector x(static_cast<size_t>(w.DomainSize()));
@@ -689,12 +704,15 @@ void WriteJson(const EvalRace& race, double allocs_per_eval,
   std::fprintf(f,
                "  \"plan\": {\"cold_s\": %.6f, \"warm_gram_s\": %.6f, "
                "\"cold_gram_misses\": %llu, \"cold_gram_hits\": %llu, "
-               "\"cold_closed_form\": %llu, \"warm_hit_rate\": %.3f},\n",
+               "\"cold_closed_form\": %llu, \"warm_hit_rate\": %.3f, "
+               "\"objective_evals\": %llu, \"gradients\": %llu},\n",
                plan.cold_s, plan.warm_gram_s,
                static_cast<unsigned long long>(plan.cold_stats.misses),
                static_cast<unsigned long long>(plan.cold_stats.hits),
                static_cast<unsigned long long>(plan.cold_stats.closed_form),
-               plan.warm_stats.HitRate());
+               plan.warm_stats.HitRate(),
+               static_cast<unsigned long long>(plan.cold_objective_evals),
+               static_cast<unsigned long long>(plan.cold_gradients));
   std::fprintf(f, "  \"restart_scaling\": [\n");
   for (size_t i = 0; i < scaling.size(); ++i) {
     const ThreadArm& arm = scaling[i];

@@ -132,7 +132,7 @@ bool RecognizeClosedFormGram(const Matrix& factor, Matrix* gram) {
 }
 
 uint64_t GramCache::FactorKey(const Matrix& factor) {
-  Fnv1aHasher h;
+  WordHasher h;
   h.U64(0x6772616d6b310000ULL);  // Format tag: "gramk1".
   h.I64(factor.rows());
   h.I64(factor.cols());

@@ -3,11 +3,11 @@
 // over: every OPT_x restart re-reads the same factor pools, every serve-mode
 // `plan` call re-walks the same workload, and unions routinely share a small
 // set of per-attribute building blocks across products. The cache keys each
-// factor by a content fingerprint (the same FNV-1a hashing the serving
-// layer's plan fingerprints use — see common/hash.h) so identical factors
-// share one immutable Gram across restarts, across optimizer calls, and
-// across plans, with no invalidation protocol at all: a key is derived from
-// the factor's bits, so an entry can never go stale.
+// factor by a content fingerprint (the same word-at-a-time hashing the
+// serving layer's plan fingerprints use — see common/hash.h) so identical
+// factors share one immutable Gram across restarts, across optimizer calls,
+// and across plans, with no invalidation protocol at all: a key is derived
+// from the factor's bits, so an entry can never go stale.
 //
 // On a miss the cache first tries to *recognize* the factor as one of the
 // closed-form building blocks (Identity, Total, Prefix, AllRange,

@@ -40,16 +40,15 @@ Opt0Result Opt0WarmStart(const Matrix& gram, const Matrix& theta0,
                          const LbfgsbOptions& lbfgs, GemmParallelism par) {
   const int p = static_cast<int>(theta0.rows());
   PIdentityObjective objective(gram, p, par);
-  // The counter update is an allocation-free relaxed store, so the
-  // planner-smoke zero-alloc-per-Eval gate is unaffected (the static-local
-  // registry lookup lands once, during warmup).
   static Counter* const evals = Metrics::GetCounter("optimizer.evals");
+  static Counter* const gradients = Metrics::GetCounter("optimizer.gradients");
   ObjectiveFn fn = [&objective](const Vector& x, Vector* grad) {
-    evals->Add(1);
     return objective.Eval(x, grad);
   };
   Vector x0(theta0.data(), theta0.data() + theta0.size());
   LbfgsbResult res = MinimizeNonNegative(fn, std::move(x0), lbfgs);
+  evals->Add(static_cast<uint64_t>(res.function_evaluations));
+  gradients->Add(static_cast<uint64_t>(res.gradient_evaluations));
   Opt0Result out;
   out.theta = Matrix(p, gram.rows(), std::move(res.x));
   // Report the error through the backward-stable dense path so the restart

@@ -5,15 +5,14 @@
 namespace hdmm {
 namespace {
 
-// 64-bit FNV-1a via the shared hasher (common/hash.h — the same hashing the
+// Hashing is the shared WordHasher (common/hash.h — the same hashing the
 // GramCache keys factors with). The cache tolerates collisions (a collision
 // only ever causes a wrong strategy to be *validated* against the workload
 // by callers that check support, or a stale disk file to be overwritten), so
 // a cryptographic hash is not needed.
-using Hasher = Fnv1aHasher;
 
 uint64_t HashProduct(const ProductWorkload& p) {
-  Hasher h;
+  WordHasher h;
   h.U64(0x70726f64);  // "prod" domain separator.
   h.F64(p.weight);
   h.I64(static_cast<int64_t>(p.factors.size()));
@@ -25,7 +24,7 @@ uint64_t HashProduct(const ProductWorkload& p) {
   return h.Digest();
 }
 
-void HashLbfgs(Hasher* h, const LbfgsbOptions& o) {
+void HashLbfgs(WordHasher* h, const LbfgsbOptions& o) {
   h->I32(o.max_iterations);
   h->I32(o.history);
   h->F64(o.pg_tolerance);
@@ -34,7 +33,7 @@ void HashLbfgs(Hasher* h, const LbfgsbOptions& o) {
   h->F64(o.armijo_c1);
 }
 
-void HashKronOptions(Hasher* h, const OptKronOptions& o) {
+void HashKronOptions(WordHasher* h, const OptKronOptions& o) {
   h->I64(static_cast<int64_t>(o.p.size()));
   for (int p : o.p) h->I32(p);
   h->I32(o.max_cycles);
@@ -55,8 +54,10 @@ std::string Fingerprint::Hex() const {
 }
 
 Fingerprint FingerprintWorkload(const UnionWorkload& w) {
-  Hasher h;
-  h.U64(0x68646d6d77310000ULL);  // Format tag: "hdmmw1".
+  WordHasher h;
+  // Format tag "hdmmw2": bumped with the hash itself, so a disk cache
+  // written under "hdmmw1" is re-planned once instead of misread.
+  h.U64(0x68646d6d77320000ULL);
   // Domain shape only: attribute names are labels, not math — renaming an
   // attribute must not force a re-optimization.
   h.I32(w.domain().NumAttributes());
@@ -73,8 +74,8 @@ Fingerprint FingerprintWorkload(const UnionWorkload& w) {
 
 Fingerprint FingerprintPlan(const UnionWorkload& w,
                             const HdmmOptions& options) {
-  Hasher h;
-  h.U64(0x68646d6d70310000ULL);  // Format tag: "hdmmp1".
+  WordHasher h;
+  h.U64(0x68646d6d70320000ULL);  // Format tag: "hdmmp2".
   h.U64(FingerprintWorkload(w).value);
   h.I32(options.restarts);
   h.Bool(options.use_kron);

@@ -106,6 +106,7 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
   Vector g(n, 0.0);
   double fx = f(result.x, &g);
   ++result.function_evaluations;
+  ++result.gradient_evaluations;
   result.f = fx;
 
   std::deque<Correction> hist;
@@ -156,7 +157,9 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
     for (int ls = 0; ls < options.max_line_search; ++ls) {
       for (size_t i = 0; i < n; ++i) x_new[i] = result.x[i] + step * d[i];
       ClampToBox(lower, upper, &x_new);
-      f_new = f(x_new, &g_new);
+      // Trials need only the objective: most are rejected, and the gradient
+      // is most of an evaluation's cost. It is computed once, below.
+      f_new = f(x_new, nullptr);
       ++result.function_evaluations;
       // Directional decrease measured against the realized (projected) step.
       double decrease = 0.0;
@@ -173,6 +176,10 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
       result.converged = true;  // Line search stalled near a minimum.
       break;
     }
+    // The gradient at the accepted point. Objectives compute f the same way
+    // with or without a gradient, so the value it returns again is f_new.
+    f(x_new, &g_new);
+    ++result.gradient_evaluations;
 
     // Curvature update.
     Correction c;

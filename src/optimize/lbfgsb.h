@@ -14,8 +14,10 @@
 
 namespace hdmm {
 
-/// Objective callback: returns f(x) and writes the gradient into *grad
-/// (same size as x).
+/// Objective callback: returns f(x) and, when grad is non-null, writes the
+/// gradient into *grad (same size as x). The optimizer passes a null grad
+/// for line-search trials and asks for the gradient once per accepted
+/// point, so f(x) must come out the same whether or not grad is null.
 using ObjectiveFn = std::function<double(const Vector& x, Vector* grad)>;
 
 /// Options controlling the optimizer.
@@ -37,7 +39,8 @@ struct LbfgsbResult {
   Vector x;
   double f = std::numeric_limits<double>::infinity();
   int iterations = 0;
-  int function_evaluations = 0;
+  int function_evaluations = 0;  ///< Points evaluated, trials included.
+  int gradient_evaluations = 0;  ///< The start plus one per accepted step.
   bool converged = false;
   bool stopped = false;  ///< Cut short by options.cancel; x is best-so-far.
 };

@@ -179,12 +179,12 @@ TEST(PlannerDeterminism, CpsUnionRepeatsAcrossRoundsAndWidths) {
       "product weight=4.90 age=width(6) race=width(3)\n"
       "product weight=1.93 income=identity hispanic=identity\n");
   HdmmOptions options;
+  auto run = [&] { return OptimizeStrategy(w, options); };
   std::string first_operator, first_strategy;
   double first_error = 0.0;
   for (int round = 0; round < 3; ++round) {
     for (int threads : {1, 4, 16}) {
-      HdmmResult res =
-          WithRestartThreads(threads, [&] { return OptimizeStrategy(w, options); });
+      HdmmResult res = WithRestartThreads(threads, run);
       std::string strategy = SerializeStrategy(*res.strategy);
       if (first_strategy.empty()) {
         first_operator = res.chosen_operator;
@@ -196,8 +196,7 @@ TEST(PlannerDeterminism, CpsUnionRepeatsAcrossRoundsAndWidths) {
           << "round " << round << ", " << threads << " threads";
       EXPECT_TRUE(BitIdentical(first_error, res.squared_error))
           << "round " << round << ", " << threads << " threads";
-      // Strategies serialize to ~100 KB; report which run differs, not
-      // both texts.
+      // Report which run differs, not both (long) serialized strategies.
       EXPECT_TRUE(first_strategy == strategy)
           << "round " << round << ", " << threads << " threads";
     }
