@@ -52,9 +52,9 @@ Matrix ScaledCopy(const Matrix& m, const Vector& scale, int axis) {
   return out;
 }
 
-// Workspace variants of ScaledCopy: write src * diag(scale) (or
-// diag(scale) * src) into a reusable destination without allocating once the
-// destination has the right shape.
+// Workspace variant of ScaledCopy's column scaling: writes src * diag(scale)
+// into a reusable destination without allocating once the destination has
+// the right shape.
 void EnsureShape(Matrix* m, int64_t rows, int64_t cols) {
   if (m->rows() != rows || m->cols() != cols) *m = Matrix(rows, cols);
 }
@@ -66,16 +66,6 @@ void ScaleColumnsInto(const Matrix& src, const Vector& scale, Matrix* dst) {
     double* out = dst->Row(i);
     for (int64_t j = 0; j < src.cols(); ++j)
       out[j] = in[j] * scale[static_cast<size_t>(j)];
-  }
-}
-
-void ScaleRowsInto(const Matrix& src, const Vector& scale, Matrix* dst) {
-  EnsureShape(dst, src.rows(), src.cols());
-  for (int64_t i = 0; i < src.rows(); ++i) {
-    const double s = scale[static_cast<size_t>(i)];
-    const double* in = src.Row(i);
-    double* out = dst->Row(i);
-    for (int64_t j = 0; j < src.cols(); ++j) out[j] = s * in[j];
   }
 }
 
@@ -154,70 +144,38 @@ double PIdentityObjective::Eval(const Vector& theta_flat, Vector* grad_flat) {
 
   if (grad_flat == nullptr) return objective;
 
-  // --- Gradient (derivation in docs/pidentity_gradient.md):
-  //   dC/dTheta = -2 ThetaTilde Y D + 2 * 1_p (r .* d)^T
-  // with Y = X^{-1} G X^{-1}, ThetaTilde = Theta D, Z = D Y D,
-  // r_j = Z_jj + sum_i Theta_ij (Theta Z)_ij.
-  //
-  // K = X^{-1} G = S(G1 - Theta^T M^{-1} (Theta G1)) with G1 = S G.
-  ScaleRowsInto(gram_, s_, &g1_);
-  MatMulInto(theta_, g1_, &u_, par_);
-  CholeskySolveMatrixInto(l_, u_, &v_);
-  MatMulTNInto(theta_, v_, &k_, par_);  // Theta^T (M^{-1} Theta G1)
-  // K = S (G1 - ...), fused subtract-and-row-scale over the workspace.
-  for (int64_t i = 0; i < n; ++i) {
-    const double si = s_[static_cast<size_t>(i)];
-    const double* g1row = g1_.Row(i);
-    double* krow = k_.Row(i);
-    for (int64_t j = 0; j < n; ++j) krow[j] = si * (g1row[j] - krow[j]);
-  }
-
-  // Y = K X^{-1} = (K1 - (K1 Theta^T) M^{-1} Theta) S, K1 = K S. The middle
-  // solve runs row-wise (CholeskySolveRowsInto) against the N x p operand
-  // directly — no Transposed() copies on either side of it.
-  ScaleColumnsInto(k_, s_, &k1_);
-  MatMulNTInto(k1_, theta_, &pmat_, par_);           // N x p
-  CholeskySolveRowsInto(l_, pmat_, &pmat_, par_);    // Q = (K1 Theta^T) M^{-1}
-  MatMulInto(pmat_, theta_, &rterm_, par_);          // N x N
-  // Y = (K1 - rterm) S, built in place over K1.
-  for (int64_t i = 0; i < n; ++i) {
-    double* yrow = k1_.Row(i);
-    const double* rrow = rterm_.Row(i);
-    for (int64_t j = 0; j < n; ++j)
-      yrow[j] = (yrow[j] - rrow[j]) * s_[static_cast<size_t>(j)];
-  }
-
-  // ThetaTilde = Theta D (reusing the T1 workspace).
-  ScaleColumnsInto(theta_, d_, &t1_);
-  MatMulInto(t1_, k1_, &b_, par_);  // ThetaTilde Y, p x N (reuses B).
-  // grad1 = -2 ThetaTilde Y D, folded in place.
-  for (int64_t i = 0; i < p_; ++i) {
-    double* row = b_.Row(i);
-    for (int64_t j = 0; j < n; ++j)
-      row[j] = -2.0 * (row[j] * d_[static_cast<size_t>(j)]);
-  }
-
-  // Z = D Y D, built in place over Y; r_j = Z_jj + sum_i Theta_ij (Theta Z)_ij.
-  for (int64_t i = 0; i < n; ++i) {
-    const double di = d_[static_cast<size_t>(i)];
-    double* zrow = k1_.Row(i);
-    for (int64_t j = 0; j < n; ++j)
-      zrow[j] = di * zrow[j] * d_[static_cast<size_t>(j)];
-  }
-  MatMulInto(theta_, k1_, &u_, par_);  // Theta Z, p x N (reuses U).
-  r_.assign(static_cast<size_t>(n), 0.0);
+  // --- Gradient (derivation in docs/pidentity_gradient.md), from the
+  // objective's own terms and E = B S = Theta S G S:
+  //   dC/dTheta = -2 M^{-1} (E - Z^T Theta) + 2 * 1_p (r .* d)^T,
+  //   r_j = s_j^2 G_jj - sum_i E_ij (M^{-1} Theta)_ij.
+  // Every product is p x N or p x p: O(p^2 N) after the objective's GEMM.
+  CholeskySolveMatrixInto(l_, theta_, &minv_theta_);
+  MatMulTNInto(z_, theta_, &u_, par_);  // Z^T Theta
+  r_.resize(static_cast<size_t>(n));
   for (int64_t j = 0; j < n; ++j) {
-    double acc = k1_(j, j);
-    for (int64_t i = 0; i < p_; ++i) acc += theta_(i, j) * u_(i, j);
-    r_[static_cast<size_t>(j)] = acc;
+    const double sj = s_[static_cast<size_t>(j)];
+    r_[static_cast<size_t>(j)] = sj * sj * gram_diag_[static_cast<size_t>(j)];
   }
+  // One pass over the p x N terms: r accumulates -E .* (M^{-1} Theta) down
+  // each column, and U becomes E - Z^T Theta in place.
+  for (int64_t i = 0; i < p_; ++i) {
+    const double* brow = b_.Row(i);
+    const double* mrow = minv_theta_.Row(i);
+    double* urow = u_.Row(i);
+    for (int64_t j = 0; j < n; ++j) {
+      const double e = brow[j] * s_[static_cast<size_t>(j)];
+      r_[static_cast<size_t>(j)] -= e * mrow[j];
+      urow[j] = e - urow[j];
+    }
+  }
+  CholeskySolveMatrixInto(l_, u_, &u_);  // M^{-1} (E - Z^T Theta)
 
   grad_flat->resize(static_cast<size_t>(p_ * n));
   for (int64_t i = 0; i < p_; ++i) {
-    const double* g1row = b_.Row(i);
+    const double* urow = u_.Row(i);
     double* out = grad_flat->data() + i * n;
     for (int64_t j = 0; j < n; ++j) {
-      out[j] = g1row[j] +
+      out[j] = -2.0 * urow[j] +
                2.0 * r_[static_cast<size_t>(j)] * d_[static_cast<size_t>(j)];
     }
   }

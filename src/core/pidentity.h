@@ -1,5 +1,7 @@
-// p-Identity strategies (Definition 9) and the O(pN^2) objective/gradient of
-// Theorem 4 / Appendix A.3. This is the computational kernel behind OPT_0.
+// p-Identity strategies (Definition 9) and the objective/gradient of
+// Theorem 4 / Appendix A.3: the objective in O(pN^2), and the gradient in
+// O(p^2 N) more from the objective's own terms (docs/pidentity_gradient.md).
+// This is the computational kernel behind OPT_0.
 //
 //   A(Theta) = [I; Theta] * D,  D = diag(1_N + 1_p Theta)^{-1}
 //
@@ -39,7 +41,8 @@ class PIdentityObjective {
 
   /// Evaluates C(A(Theta)) and, if grad != nullptr, dC/dTheta.
   /// `theta` is the p x N parameter matrix flattened row-major; the gradient
-  /// uses the same layout. Both run in O(p N^2) time (Theorem 4).
+  /// uses the same layout. The objective costs one O(p N^2) GEMM (Theorem 4);
+  /// the gradient adds only O(p^2 N) work on the objective's own terms.
   double Eval(const Vector& theta_flat, Vector* grad_flat);
 
   /// Builds the explicit (N+p) x N strategy matrix A(Theta).
@@ -61,23 +64,18 @@ class PIdentityObjective {
 
   // Reusable per-objective workspace (sized lazily on the first Eval).
   // Names follow the derivation in docs/pidentity_gradient.md.
-  Matrix theta_;   // p x N parameter matrix (copied in from theta_flat).
-  Matrix m_;       // Capacitance I_p + Theta Theta^T, then its space.
-  Matrix l_;       // Cholesky factor of the capacitance.
-  Matrix t1_;      // Theta S, later ThetaTilde = Theta D.
-  Matrix b_;       // T1 G, later ThetaTilde Y (the -2 .. gradient term).
-  Matrix spp_;     // B T1^T (p x p).
-  Matrix z_;       // M^{-1} Spp.
-  Matrix g1_;      // S G.
-  Matrix u_;       // Theta G1, later Theta Z.
-  Matrix v_;       // M^{-1} U.
-  Matrix k_;       // X^{-1} G.
-  Matrix k1_;      // K S, then Y, then Z (built up in place).
-  Matrix pmat_;    // K1 Theta^T (N x p), solved in place into Q.
-  Matrix rterm_;   // Q Theta.
-  Vector s_;       // Column scales s_j = 1 + sum_i Theta_ij.
-  Vector d_;       // 1 / s.
-  Vector r_;       // Gradient row statistic.
+  Matrix theta_;       // p x N parameter matrix (copied in from theta_flat).
+  Matrix m_;           // Capacitance M = I_p + Theta Theta^T.
+  Matrix l_;           // Cholesky factor of M.
+  Matrix t1_;          // Theta S.
+  Matrix b_;           // B = T1 G = Theta S G.
+  Matrix spp_;         // Spp = B T1^T (p x p).
+  Matrix z_;           // Z = M^{-1} Spp.
+  Matrix minv_theta_;  // M^{-1} Theta.
+  Matrix u_;           // Z^T Theta, then E - Z^T Theta, then M^{-1} of that.
+  Vector s_;           // Column scales s_j = 1 + sum_i Theta_ij.
+  Vector d_;           // 1 / s.
+  Vector r_;           // Gradient column statistic r.
 };
 
 }  // namespace hdmm

@@ -178,39 +178,6 @@ void CholeskySolveMatrixInto(const Matrix& l, const Matrix& b, Matrix* out) {
   BackwardSubstituteTransposeMatrix(l, out);
 }
 
-void CholeskySolveRowsInto(const Matrix& l, const Matrix& b, Matrix* out,
-                           GemmParallelism par) {
-  HDMM_CHECK(l.rows() == l.cols() && l.rows() == b.cols());
-  const int64_t p = l.rows();
-  const int64_t rows = b.rows();
-  if (out != &b) *out = b;  // Copy-assign reuses out's storage when sized.
-  if (p == 0 || rows == 0) return;
-  auto body = [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      double* x = out->Row(r);
-      // Row solve y X = x for symmetric X = L L^T: x = (L L^T y^T)^T, so a
-      // forward substitution (L z = x) then a backward one (L^T y = z),
-      // both on the contiguous length-p row.
-      for (int64_t i = 0; i < p; ++i) {
-        const double* li = l.Row(i);
-        double s = x[i];
-        for (int64_t t = 0; t < i; ++t) s -= li[t] * x[t];
-        x[i] = s / li[i];
-      }
-      for (int64_t i = p - 1; i >= 0; --i) {
-        double s = x[i];
-        for (int64_t t = i + 1; t < p; ++t) s -= l(t, i) * x[t];
-        x[i] = s / l(i, i);
-      }
-    }
-  };
-  if (par == GemmParallelism::kPooled) {
-    ComputePool().ParallelFor(0, rows, /*grain=*/32, body);
-  } else {
-    body(0, rows);
-  }
-}
-
 Vector UpperTriangularSolve(const Matrix& u, const Vector& b) {
   HDMM_CHECK(u.rows() == u.cols());
   const int64_t n = u.rows();

@@ -44,16 +44,6 @@ Vector CholeskySolve(const Matrix& l, const Vector& b);
 /// multi-RHS substitutions (no per-column Vector copies).
 void CholeskySolveMatrixInto(const Matrix& l, const Matrix& b, Matrix* out);
 
-/// Transposed-RHS solve: computes Y = B X^{-1} (equivalently, solves
-/// X Y^T = B^T) for SPD X = L L^T, where each ROW of the row-major B is one
-/// right-hand side. Rows are solved independently (forward then backward
-/// substitution against L), so nothing is ever transposed — this replaces
-/// the two quadratically-sized Transposed() copies the p-Identity gradient
-/// used to materialize around CholeskySolveMatrixInto. Supports out == &b
-/// (in-place); with kSerial the call is allocation-free.
-void CholeskySolveRowsInto(const Matrix& l, const Matrix& b, Matrix* out,
-                           GemmParallelism par = GemmParallelism::kPooled);
-
 /// Solves an upper-triangular system U x = b. Dies on zero diagonal.
 Vector UpperTriangularSolve(const Matrix& u, const Vector& b);
 

@@ -499,13 +499,14 @@ TEST(Deadline, ValueSemantics) {
 }
 
 TEST(Deadline, CancelledColdPlanIsBoundedAndSideEffectFree) {
-  // A workload whose cold plan is much slower than the deadline, so the
-  // token fires inside the measurement's plan step.
+  // A workload whose cold plan is much slower than the deadline (around
+  // 300 ms at 24 restarts on a 4-core host), so the token fires inside the
+  // measurement's plan step.
   UnionWorkload w = ParseWorkloadOrDie(
-      "domain a=64 b=32\n"
-      "product a=prefix b=prefix\n"
-      "product a=identity b=prefix\n"
-      "product a=prefix b=identity\n");
+      "domain a=128 b=128\n"
+      "product a=allrange b=allrange\n"
+      "product a=identity b=allrange\n"
+      "product a=allrange b=identity\n");
   EngineOptions options;
   options.optimizer.restarts = 24;
   options.optimizer.seed = 5;

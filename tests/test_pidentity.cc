@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
+#include "linalg/cholesky.h"
 #include "linalg/pinv.h"
 #include "workload/building_blocks.h"
 
@@ -103,6 +109,82 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, PIdentityGradientTest,
     ::testing::Values(std::make_pair(5, 1), std::make_pair(8, 2),
                       std::make_pair(10, 4), std::make_pair(6, 6)));
+
+// The gradient formula Eval used to implement, evaluated densely in O(N^3):
+// X = A^T A, Y = X^{-1} G X^{-1}, Z = D Y D and
+//   dC/dTheta = -2 (Theta D) Y D + 2 * 1_p (r .* d)^T,
+//   r_j = Z_jj + sum_i Theta_ij (Theta Z)_ij.
+Vector DenseReferenceGradient(const Matrix& theta, const Matrix& gram) {
+  const int64_t p = theta.rows();
+  const int64_t n = theta.cols();
+  Matrix x = Gram(PIdentityObjective::BuildStrategy(theta));
+  Matrix l;
+  EXPECT_TRUE(CholeskyFactor(x, &l));
+  Matrix x_inv;
+  CholeskySolveMatrixInto(l, Matrix::Identity(n), &x_inv);
+  const Matrix y = MatMul(MatMul(x_inv, gram), x_inv);
+  Vector d(static_cast<size_t>(n), 1.0);
+  for (int64_t i = 0; i < p; ++i)
+    for (int64_t j = 0; j < n; ++j) d[static_cast<size_t>(j)] += theta(i, j);
+  for (double& v : d) v = 1.0 / v;
+  const Matrix dmat = Matrix::Diagonal(d);
+  const Matrix z = MatMul(MatMul(dmat, y), dmat);
+  const Matrix theta_z = MatMul(theta, z);
+  const Matrix first = MatMul(MatMul(MatMul(theta, dmat), y), dmat);
+  Vector grad(static_cast<size_t>(p * n));
+  for (int64_t j = 0; j < n; ++j) {
+    double r = z(j, j);
+    for (int64_t i = 0; i < p; ++i) r += theta(i, j) * theta_z(i, j);
+    for (int64_t i = 0; i < p; ++i) {
+      grad[static_cast<size_t>(i * n + j)] =
+          -2.0 * first(i, j) + 2.0 * r * d[static_cast<size_t>(j)];
+    }
+  }
+  return grad;
+}
+
+// Eval's O(p^2 N) gradient against the dense formula on the building blocks
+// OPT_0 meets, from ordinary starts to the large Theta the line search
+// reaches on Total and AllRange. The finite-difference test above covers
+// only small random Grams.
+TEST(PIdentity, GradientMatchesDenseReference) {
+  struct Case {
+    std::string name;
+    Matrix gram;
+    double lo, hi;
+  };
+  std::vector<Case> cases;
+  for (double hi : {0.5, 1.0, 2.0}) {
+    cases.push_back({"AllRange(100)", AllRangeGram(100), 0.0, hi});
+    cases.push_back({"AllRange(115)", AllRangeGram(115), 0.0, hi});
+    cases.push_back({"Prefix(50)", PrefixGram(50), 0.0, hi});
+    cases.push_back({"width(13) n=64", WidthRangeGram(64, 13), 0.0, hi});
+    cases.push_back({"Identity(64)", Matrix::Identity(64), 0.0, hi});
+    cases.push_back({"Total(20)", Gram(TotalBlock(20)), 0.0, hi});
+  }
+  cases.push_back({"Total(20)", Gram(TotalBlock(20)), 50.0, 200.0});
+  cases.push_back({"AllRange(75)", AllRangeGram(75), 0.0, 30.0});
+
+  Rng rng(31);
+  for (const Case& c : cases) {
+    const int64_t n = c.gram.rows();
+    const int p = static_cast<int>(std::max<int64_t>(2, n / 16));
+    const Matrix theta = Matrix::RandomUniform(p, n, &rng, c.lo, c.hi);
+    const Vector flat(theta.data(), theta.data() + theta.size());
+    PIdentityObjective obj(c.gram, p);
+    Vector grad;
+    ASSERT_TRUE(std::isfinite(obj.Eval(flat, &grad)))
+        << c.name << " Theta ~ U[" << c.lo << ", " << c.hi << "]";
+    const Vector ref = DenseReferenceGradient(theta, c.gram);
+    double scale = 0.0, err = 0.0;
+    for (size_t k = 0; k < ref.size(); ++k) {
+      scale = std::max(scale, std::fabs(ref[k]));
+      err = std::max(err, std::fabs(grad[k] - ref[k]));
+    }
+    EXPECT_LE(err, 1e-8 * scale)
+        << c.name << " Theta ~ U[" << c.lo << ", " << c.hi << "], p = " << p;
+  }
+}
 
 TEST(PIdentity, TraceWithGramMatchesEval) {
   Rng rng(4);
