@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -93,8 +94,25 @@ PIdentityObjective::PIdentityObjective(Matrix gram, int p, GemmParallelism par)
 }
 
 double PIdentityObjective::Eval(const Vector& theta_flat, Vector* grad_flat) {
+  HDMM_CHECK(static_cast<int64_t>(theta_flat.size()) == p_ * gram_.rows());
+  // L-BFGS-B evaluates a trial without a gradient and, once it accepts the
+  // trial, asks for the gradient at the same point. The workspace still
+  // holds that point's terms then, so only the gradient is computed.
+  const bool same_point =
+      std::isfinite(objective_) &&
+      std::memcmp(theta_flat.data(), theta_.data(),
+                  theta_flat.size() * sizeof(double)) == 0;
+  if (!same_point) objective_ = Objective(theta_flat);
+  if (!std::isfinite(objective_)) {
+    if (grad_flat != nullptr) grad_flat->assign(theta_flat.size(), 0.0);
+    return objective_;
+  }
+  if (grad_flat != nullptr) Gradient(grad_flat);
+  return objective_;
+}
+
+double PIdentityObjective::Objective(const Vector& theta_flat) {
   const int64_t n = gram_.rows();
-  HDMM_CHECK(static_cast<int64_t>(theta_flat.size()) == p_ * n);
   EnsureShape(&theta_, p_, n);
   std::copy(theta_flat.begin(), theta_flat.end(), theta_.data());
 
@@ -113,7 +131,6 @@ double PIdentityObjective::Eval(const Vector& theta_flat, Vector* grad_flat) {
   for (int64_t i = 0; i < p_; ++i) m_(i, i) += 1.0;
   if (!CholeskyFactor(m_, &l_)) {
     // Numerically indefinite capacitance: treat as an infeasible point.
-    if (grad_flat != nullptr) grad_flat->assign(theta_flat.size(), 0.0);
     return std::numeric_limits<double>::infinity();
   }
 
@@ -137,13 +154,13 @@ double PIdentityObjective::Eval(const Vector& theta_flat, Vector* grad_flat) {
   // below that noise floor are pure cancellation — treat the point as
   // infeasible so the line search backs off rather than "winning" with
   // garbage.
-  if (!(objective > kFastPathTrustFloor * term1) || !std::isfinite(objective)) {
-    if (grad_flat != nullptr) grad_flat->assign(theta_flat.size(), 0.0);
+  if (!(objective > kFastPathTrustFloor * term1) || !std::isfinite(objective))
     return std::numeric_limits<double>::infinity();
-  }
+  return objective;
+}
 
-  if (grad_flat == nullptr) return objective;
-
+void PIdentityObjective::Gradient(Vector* grad_flat) {
+  const int64_t n = gram_.rows();
   // --- Gradient (derivation in docs/pidentity_gradient.md), from the
   // objective's own terms and E = B S = Theta S G S:
   //   dC/dTheta = -2 M^{-1} (E - Z^T Theta) + 2 * 1_p (r .* d)^T,
@@ -179,7 +196,6 @@ double PIdentityObjective::Eval(const Vector& theta_flat, Vector* grad_flat) {
                2.0 * r_[static_cast<size_t>(j)] * d_[static_cast<size_t>(j)];
     }
   }
-  return objective;
 }
 
 Matrix PIdentityObjective::BuildStrategy(const Matrix& theta) {

@@ -11,6 +11,8 @@
 #ifndef HDMM_CORE_PIDENTITY_H_
 #define HDMM_CORE_PIDENTITY_H_
 
+#include <limits>
+
 #include "linalg/gemm.h"
 #include "linalg/matrix.h"
 
@@ -43,6 +45,10 @@ class PIdentityObjective {
   /// `theta` is the p x N parameter matrix flattened row-major; the gradient
   /// uses the same layout. The objective costs one O(p N^2) GEMM (Theorem 4);
   /// the gradient adds only O(p^2 N) work on the objective's own terms.
+  /// When the previous call evaluated the same point (bit for bit) and found
+  /// it finite, its terms are reused and only the gradient is computed:
+  /// L-BFGS-B's gradient request at an accepted trial costs no GEMM. An
+  /// infeasible point returns +inf and, if requested, a zero gradient.
   double Eval(const Vector& theta_flat, Vector* grad_flat);
 
   /// Builds the explicit (N+p) x N strategy matrix A(Theta).
@@ -57,10 +63,19 @@ class PIdentityObjective {
   static double EvalReference(const Matrix& theta, const Matrix& gram);
 
  private:
+  // Fills the workspace terms for theta_flat and returns the objective, or
+  // +inf for an infeasible point.
+  double Objective(const Vector& theta_flat);
+  // dC/dTheta at theta_ from the terms Objective left in the workspace.
+  void Gradient(Vector* grad_flat);
+
   Matrix gram_;
   Vector gram_diag_;  ///< Hoisted diag(G): read every Eval, never changes.
   int p_;
   GemmParallelism par_;
+  // C at theta_; +inf before the first Eval and after an infeasible point.
+  // The workspace terms below belong to theta_ exactly when it is finite.
+  double objective_ = std::numeric_limits<double>::infinity();
 
   // Reusable per-objective workspace (sized lazily on the first Eval).
   // Names follow the derivation in docs/pidentity_gradient.md.

@@ -1,7 +1,10 @@
 #include "optimize/lbfgsb.h"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 
@@ -50,28 +53,29 @@ struct Correction {
   double rho;  // 1 / (y^T s)
 };
 
-// Two-loop recursion computing d = -H g restricted to free variables.
-Vector LbfgsDirection(const std::deque<Correction>& hist, const Vector& g,
-                      const std::vector<bool>& free) {
-  Vector q(g.size());
-  for (size_t i = 0; i < g.size(); ++i) q[i] = free[i] ? g[i] : 0.0;
-  std::vector<double> alpha(hist.size(), 0.0);
+// Two-loop recursion: writes d = -H g over the free variables, listed in
+// ascending order in `free` so every dot product adds its terms in index
+// order; fixed variables get d_i = -0. `alpha` is caller-owned scratch.
+void LbfgsDirection(const std::deque<Correction>& hist, const Vector& g,
+                    const std::vector<size_t>& free,
+                    std::vector<double>* alpha, Vector* d) {
+  Vector& q = *d;
+  std::fill(q.begin(), q.end(), 0.0);
+  for (size_t i : free) q[i] = g[i];
+  alpha->resize(hist.size());
   for (size_t k = hist.size(); k-- > 0;) {
     const Correction& c = hist[k];
     double a = 0.0;
-    for (size_t i = 0; i < q.size(); ++i)
-      if (free[i]) a += c.s[i] * q[i];
+    for (size_t i : free) a += c.s[i] * q[i];
     a *= c.rho;
-    alpha[k] = a;
-    for (size_t i = 0; i < q.size(); ++i)
-      if (free[i]) q[i] -= a * c.y[i];
+    (*alpha)[k] = a;
+    for (size_t i : free) q[i] -= a * c.y[i];
   }
   double gamma = 1.0;
   if (!hist.empty()) {
     const Correction& last = hist.back();
     double yy = 0.0, sy = 0.0;
-    for (size_t i = 0; i < q.size(); ++i) {
-      if (!free[i]) continue;
+    for (size_t i : free) {
       yy += last.y[i] * last.y[i];
       sy += last.s[i] * last.y[i];
     }
@@ -81,14 +85,11 @@ Vector LbfgsDirection(const std::deque<Correction>& hist, const Vector& g,
   for (size_t k = 0; k < hist.size(); ++k) {
     const Correction& c = hist[k];
     double b = 0.0;
-    for (size_t i = 0; i < q.size(); ++i)
-      if (free[i]) b += c.y[i] * q[i];
+    for (size_t i : free) b += c.y[i] * q[i];
     b *= c.rho;
-    for (size_t i = 0; i < q.size(); ++i)
-      if (free[i]) q[i] += (alpha[k] - b) * c.s[i];
+    for (size_t i : free) q[i] += ((*alpha)[k] - b) * c.s[i];
   }
   for (double& v : q) v = -v;
-  return q;
 }
 
 }  // namespace
@@ -110,8 +111,11 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
   result.f = fx;
 
   std::deque<Correction> hist;
-  std::vector<bool> free(n, true);
-  Vector x_new(n), g_new(n, 0.0);
+  Correction next;  // Storage for the next pair, recycled from the oldest.
+  std::vector<size_t> free;
+  free.reserve(n);
+  std::vector<double> alpha;
+  Vector d(n), x_new(n), g_new(n, 0.0);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     if (CancelRequested(options.cancel)) {
@@ -128,22 +132,22 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
     // Active set: variables pinned at a bound with the gradient pushing
     // further out of the box are frozen for this iteration.
     constexpr double kActiveTol = 1e-12;
+    free.clear();
     for (size_t i = 0; i < n; ++i) {
       bool at_lower = result.x[i] <= lower[i] + kActiveTol && g[i] > 0.0;
       bool at_upper = result.x[i] >= upper[i] - kActiveTol && g[i] < 0.0;
-      free[i] = !(at_lower || at_upper);
+      if (!(at_lower || at_upper)) free.push_back(i);
     }
 
-    Vector d = LbfgsDirection(hist, g, free);
+    LbfgsDirection(hist, g, free, &alpha, &d);
     // Fall back to steepest descent if d is not a descent direction.
     double gd = 0.0;
-    for (size_t i = 0; i < n; ++i)
-      if (free[i]) gd += g[i] * d[i];
+    for (size_t i : free) gd += g[i] * d[i];
     if (!(gd < 0.0)) {
-      for (size_t i = 0; i < n; ++i) d[i] = free[i] ? -g[i] : 0.0;
+      std::fill(d.begin(), d.end(), 0.0);
+      for (size_t i : free) d[i] = -g[i];
       gd = 0.0;
-      for (size_t i = 0; i < n; ++i)
-        if (free[i]) gd += g[i] * d[i];
+      for (size_t i : free) gd += g[i] * d[i];
       if (!(gd < 0.0)) {
         result.converged = true;  // No descent available: KKT point.
         break;
@@ -182,7 +186,7 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
     ++result.gradient_evaluations;
 
     // Curvature update.
-    Correction c;
+    Correction& c = next;
     c.s.resize(n);
     c.y.resize(n);
     double sy = 0.0;
@@ -195,12 +199,15 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
     if (sy > 1e-10 * std::sqrt(ss * yy) && sy > 0.0) {
       c.rho = 1.0 / sy;
       hist.push_back(std::move(c));
-      if (static_cast<int>(hist.size()) > options.history) hist.pop_front();
+      if (static_cast<int>(hist.size()) > options.history) {
+        next = std::move(hist.front());
+        hist.pop_front();
+      }
     }
 
     double f_prev = fx;
-    result.x = x_new;
-    g = g_new;
+    std::swap(result.x, x_new);
+    std::swap(g, g_new);
     fx = f_new;
     result.f = fx;
     if (std::fabs(f_prev - fx) <=

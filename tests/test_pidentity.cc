@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -184,6 +185,73 @@ TEST(PIdentity, GradientMatchesDenseReference) {
     EXPECT_LE(err, 1e-8 * scale)
         << c.name << " Theta ~ U[" << c.lo << ", " << c.hi << "], p = " << p;
   }
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameBits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// L-BFGS-B evaluates a trial without a gradient and then asks for the
+// gradient at the same point; Eval answers the second call from the
+// trial's terms. That must give the bits a fresh objective gives, and any
+// other point, or one that was infeasible, must be evaluated from scratch.
+TEST(PIdentity, AcceptedPointReusesTrialTerms) {
+  const int64_t n = 40;
+  const int p = 3;
+  const Matrix gram = AllRangeGram(n);
+  Rng rng(41);
+  const Matrix t1 = Matrix::RandomUniform(p, n, &rng, 0.0, 1.0);
+  const Matrix t2 = Matrix::RandomUniform(p, n, &rng, 0.0, 1.0);
+  const Vector x1(t1.data(), t1.data() + t1.size());
+  const Vector x2(t2.data(), t2.data() + t2.size());
+  Vector x3 = x1;  // x1 with its last entry moved.
+  x3.back() += 1e-3;
+  auto fresh = [&](const Vector& x, Vector* g) {
+    PIdentityObjective obj(gram, p);
+    return obj.Eval(x, g);
+  };
+
+  PIdentityObjective obj(gram, p);
+  Vector g, g_ref;
+  const double f_trial = obj.Eval(x1, nullptr);
+  const double f = obj.Eval(x1, &g);
+  const double f_ref = fresh(x1, &g_ref);
+  ASSERT_TRUE(std::isfinite(f_ref));
+  EXPECT_TRUE(SameBits(f_trial, f_ref));
+  EXPECT_TRUE(SameBits(f, f_ref));
+  EXPECT_TRUE(SameBits(g, g_ref));
+
+  for (const Vector* other : std::vector<const Vector*>{&x2, &x3}) {
+    obj.Eval(x1, nullptr);
+    const double f_other = obj.Eval(*other, &g);
+    Vector g_other;
+    EXPECT_TRUE(SameBits(f_other, fresh(*other, &g_other)));
+    EXPECT_TRUE(SameBits(g, g_other));
+    EXPECT_FALSE(SameBits(g, g_ref));  // The point really moved the gradient.
+  }
+
+  // A uniform Theta = 2000 against the all-ones Gram puts the exact
+  // objective 5e-8 of term1 (n (1+t)^2 / (1 + n t^2) over n (1+t)^2): below
+  // the trust floor, so the point is infeasible, asked once or twice.
+  const Matrix total = Gram(TotalBlock(16));
+  PIdentityObjective flat_obj(total, 1);
+  const Vector x_inf(16, 2000.0);
+  EXPECT_TRUE(std::isinf(flat_obj.Eval(x_inf, nullptr)));
+  Vector g_inf(16, 7.0);
+  EXPECT_TRUE(std::isinf(flat_obj.Eval(x_inf, &g_inf)));
+  EXPECT_TRUE(SameBits(g_inf, Vector(16, 0.0)));
+  // A feasible point after the infeasible one is evaluated from scratch.
+  const Vector x_ok(16, 0.5);
+  Vector g_ok, g_ok_ref;
+  PIdentityObjective fresh_obj(total, 1);
+  EXPECT_TRUE(SameBits(flat_obj.Eval(x_ok, &g_ok),
+                       fresh_obj.Eval(x_ok, &g_ok_ref)));
+  EXPECT_TRUE(SameBits(g_ok, g_ok_ref));
 }
 
 TEST(PIdentity, TraceWithGramMatchesEval) {
