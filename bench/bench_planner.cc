@@ -9,6 +9,9 @@
 //            rebuild). Both arms run the same trajectory from the same
 //            start, so the speedup is pure workspace-reuse + Gram-cache +
 //            transposed-solve effect, valid on a 1-core box.
+//   gradient_cost  time of an Eval with a gradient over an objective-only
+//            one (the gradient is built from the objective's own terms,
+//            so it should cost a fraction of the objective's GEMM).
 //   allocs   heap allocations per Eval after warmup (must be zero).
 //   error_eval  heap allocations per repeated Strategy::SquaredError
 //            evaluation after one warm call, for Kron and union-Kron
@@ -26,7 +29,9 @@
 //            selected strategy is bit-identical at every thread count.
 //
 // Emits BENCH_planner.json; the planner-smoke CI job parses it and fails
-// the build if the speedup regresses below 2x or the inner loop allocates.
+// the build if the speedup regresses below 2x, the inner loop allocates, or
+// an Eval with a gradient costs 2.5x an objective-only one.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -476,6 +481,40 @@ EvalRace RaceOpt0InnerLoop() {
   return race;
 }
 
+// Time of an Eval with a gradient divided by the time of an objective-only
+// Eval, on the race's Gram (Prefix(115), p = 7) with serial kernels. Two
+// fixed Theta alternate, so no call finds the previous call's point in the
+// workspace and every call computes the objective; best of 5 rounds.
+double MeasureGradientCostRatio() {
+  const int64_t n = 115;
+  const int p = DefaultPFromSize(n);
+  PIdentityObjective obj(PrefixGram(n), p, GemmParallelism::kSerial);
+  Rng rng(29);
+  const Matrix ta = Matrix::RandomUniform(p, n, &rng, 0.0, 0.5);
+  const Matrix tb = Matrix::RandomUniform(p, n, &rng, 0.0, 0.5);
+  const Vector xa(ta.data(), ta.data() + ta.size());
+  const Vector xb(tb.data(), tb.data() + tb.size());
+  Vector grad;
+  constexpr int kCalls = 500;
+  auto time_calls = [&](Vector* g) {
+    WallTimer timer;
+    for (int i = 0; i < kCalls; ++i) obj.Eval(i % 2 == 0 ? xa : xb, g);
+    return timer.Seconds();
+  };
+  time_calls(&grad);  // Warmup sizes the workspace.
+  double objective_s = std::numeric_limits<double>::infinity();
+  double gradient_s = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 5; ++round) {
+    objective_s = std::min(objective_s, time_calls(nullptr));
+    gradient_s = std::min(gradient_s, time_calls(&grad));
+  }
+  const double ratio = gradient_s / objective_s;
+  std::printf("  objective only: %.2f us/Eval, with gradient: %.2f us/Eval "
+              "(ratio %.2f)\n",
+              1e6 * objective_s / kCalls, 1e6 * gradient_s / kCalls, ratio);
+  return ratio;
+}
+
 // Heap allocations per Eval (gradient included) after one warmup call.
 double MeasureEvalAllocations() {
   const int64_t n = 115;
@@ -662,7 +701,8 @@ std::vector<ThreadArm> BenchRestartScaling(const UnionWorkload& w) {
   return arms;
 }
 
-void WriteJson(const EvalRace& race, double allocs_per_eval,
+void WriteJson(const EvalRace& race, double gradient_cost_ratio,
+               double allocs_per_eval,
                const ErrorEvalAllocs& error_allocs, const PlanTimings& plan,
                const std::vector<ThreadArm>& scaling, const char* path) {
   std::FILE* f = std::fopen(path, "w");
@@ -674,10 +714,11 @@ void WriteJson(const EvalRace& race, double allocs_per_eval,
   std::fprintf(f,
                "  \"eval\": {\"n\": %lld, \"p\": %d, \"legacy_s\": %.6f, "
                "\"new_s\": %.6f, \"legacy_evals\": %d, \"new_evals\": %d, "
-               "\"per_eval_speedup\": %.2f, \"values_rel_diff\": %.3g},\n",
+               "\"per_eval_speedup\": %.2f, \"values_rel_diff\": %.3g, "
+               "\"gradient_cost_ratio\": %.2f},\n",
                static_cast<long long>(race.n), race.p, race.legacy_s,
                race.new_s, race.legacy_evals, race.new_evals, race.speedup,
-               race.values_diff);
+               race.values_diff, gradient_cost_ratio);
   // The headline number, with its definition recorded next to it: the
   // census cold plan's optimizer time concentrates in the age attribute's
   // OPT_0 warm starts (the only p > 1 block in the workload), and the race
@@ -742,6 +783,9 @@ int main(int argc, char** argv) {
   std::printf("=== planner: OPT_0 inner loop (n=115 census age) ===\n");
   const EvalRace race = RaceOpt0InnerLoop();
 
+  std::printf("\n=== planner: gradient cost (n=115, p=7, serial) ===\n");
+  const double gradient_cost_ratio = MeasureGradientCostRatio();
+
   std::printf("\n=== planner: Eval allocation audit ===\n");
   const double allocs = MeasureEvalAllocations();
 
@@ -758,7 +802,7 @@ int main(int argc, char** argv) {
               "restarts, private 1/2/4-thread pools) ===\n");
   const std::vector<ThreadArm> scaling = BenchRestartScaling(w);
 
-  WriteJson(race, allocs, error_allocs, plan, scaling,
+  WriteJson(race, gradient_cost_ratio, allocs, error_allocs, plan, scaling,
             "BENCH_planner.json");
   return 0;
 }

@@ -100,6 +100,7 @@ double PIdentityObjective::Eval(const Vector& theta_flat, Vector* grad_flat) {
   // holds that point's terms then, so only the gradient is computed.
   const bool same_point =
       std::isfinite(objective_) &&
+      theta_.size() == static_cast<int64_t>(theta_flat.size()) &&
       std::memcmp(theta_flat.data(), theta_.data(),
                   theta_flat.size() * sizeof(double)) == 0;
   if (!same_point) objective_ = Objective(theta_flat);

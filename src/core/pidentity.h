@@ -47,8 +47,9 @@ class PIdentityObjective {
   /// the gradient adds only O(p^2 N) work on the objective's own terms.
   /// When the previous call evaluated the same point (bit for bit) and found
   /// it finite, its terms are reused and only the gradient is computed:
-  /// L-BFGS-B's gradient request at an accepted trial costs no GEMM. An
-  /// infeasible point returns +inf and, if requested, a zero gradient.
+  /// L-BFGS-B's gradient request at an accepted trial costs no O(p N^2)
+  /// work. An infeasible point returns +inf and, if requested, a zero
+  /// gradient.
   double Eval(const Vector& theta_flat, Vector* grad_flat);
 
   /// Builds the explicit (N+p) x N strategy matrix A(Theta).

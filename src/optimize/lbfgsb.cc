@@ -50,7 +50,7 @@ double ProjectedGradientNorm(const Vector& x, const Vector& g,
 struct Correction {
   Vector s;
   Vector y;
-  double rho;  // 1 / (y^T s)
+  double rho = 0.0;  // 1 / (y^T s)
 };
 
 // Two-loop recursion: writes d = -H g over the free variables, listed in

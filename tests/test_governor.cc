@@ -499,8 +499,8 @@ TEST(Deadline, ValueSemantics) {
 }
 
 TEST(Deadline, CancelledColdPlanIsBoundedAndSideEffectFree) {
-  // A workload whose cold plan is much slower than the deadline (around
-  // 300 ms at 24 restarts on a 4-core host), so the token fires inside the
+  // A workload whose cold plan is much slower than the deadline (0.4-0.5 s
+  // at 24 restarts on a shared 4-core host), so the token fires inside the
   // measurement's plan step.
   UnionWorkload w = ParseWorkloadOrDie(
       "domain a=128 b=128\n"

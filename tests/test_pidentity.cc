@@ -111,7 +111,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_pair(5, 1), std::make_pair(8, 2),
                       std::make_pair(10, 4), std::make_pair(6, 6)));
 
-// The gradient formula Eval used to implement, evaluated densely in O(N^3):
+// The dense form of the gradient (docs/pidentity_gradient.md), in O(N^3):
 // X = A^T A, Y = X^{-1} G X^{-1}, Z = D Y D and
 //   dC/dTheta = -2 (Theta D) Y D + 2 * 1_p (r .* d)^T,
 //   r_j = Z_jj + sum_i Theta_ij (Theta Z)_ij.
@@ -235,9 +235,9 @@ TEST(PIdentity, AcceptedPointReusesTrialTerms) {
     EXPECT_FALSE(SameBits(g, g_ref));  // The point really moved the gradient.
   }
 
-  // A uniform Theta = 2000 against the all-ones Gram puts the exact
-  // objective 5e-8 of term1 (n (1+t)^2 / (1 + n t^2) over n (1+t)^2): below
-  // the trust floor, so the point is infeasible, asked once or twice.
+  // A uniform Theta = t = 2000 against the all-ones Gram puts the exact
+  // objective at 1 / (1 + n t^2) = 1.6e-8 of term1, below the trust floor:
+  // the point is infeasible, whether asked once or twice.
   const Matrix total = Gram(TotalBlock(16));
   PIdentityObjective flat_obj(total, 1);
   const Vector x_inf(16, 2000.0);
