@@ -62,7 +62,12 @@ ThreadPool::ThreadPool(int num_workers) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under the lock, as in Push: a worker between its predicate check and
+    // parking would otherwise miss this wakeup and never be joined.
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    stop_.store(true, std::memory_order_release);
+  }
   sleep_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
