@@ -515,22 +515,34 @@ double MeasureGradientCostRatio() {
   return ratio;
 }
 
-// Heap allocations per Eval (gradient included) after one warmup call.
+// Heap allocations per Eval after a warmup pass, in L-BFGS-B's call
+// pattern: an objective-only trial, then the gradient at the same point.
+// Two fixed Theta alternate, so each trial computes the objective and each
+// gradient call takes the reuse path; both are counted.
 double MeasureEvalAllocations() {
   const int64_t n = 115;
   const int p = DefaultPFromSize(n);
   PIdentityObjective obj(PrefixGram(n), p, GemmParallelism::kSerial);
   Rng rng(23);
-  Matrix theta = Matrix::RandomUniform(p, n, &rng, 0.1, 0.5);
-  Vector flat(theta.data(), theta.data() + theta.size());
+  const Matrix ta = Matrix::RandomUniform(p, n, &rng, 0.1, 0.5);
+  const Matrix tb = Matrix::RandomUniform(p, n, &rng, 0.1, 0.5);
+  const Vector xa(ta.data(), ta.data() + ta.size());
+  const Vector xb(tb.data(), tb.data() + tb.size());
   Vector grad;
-  for (int i = 0; i < 3; ++i) obj.Eval(flat, &grad);  // Warmup sizes buffers.
-  const int kEvals = 200;
+  auto trial_then_gradient = [&](int pairs) {
+    for (int i = 0; i < pairs; ++i) {
+      const Vector& x = i % 2 == 0 ? xa : xb;
+      obj.Eval(x, nullptr);
+      obj.Eval(x, &grad);
+    }
+  };
+  trial_then_gradient(2);  // Warmup sizes the workspace and the gradient.
+  const int kPairs = 100;
   const long long before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < kEvals; ++i) obj.Eval(flat, &grad);
+  trial_then_gradient(kPairs);
   const long long after = g_heap_allocs.load(std::memory_order_relaxed);
   const double per_eval =
-      static_cast<double>(after - before) / static_cast<double>(kEvals);
+      static_cast<double>(after - before) / static_cast<double>(2 * kPairs);
   std::printf("  heap allocations per Eval after warmup: %.3f\n", per_eval);
   return per_eval;
 }

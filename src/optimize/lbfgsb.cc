@@ -50,7 +50,7 @@ double ProjectedGradientNorm(const Vector& x, const Vector& g,
 struct Correction {
   Vector s;
   Vector y;
-  double rho = 0.0;  // 1 / (y^T s)
+  double rho;  // 1 / (y^T s)
 };
 
 // Two-loop recursion: writes d = -H g over the free variables, listed in
@@ -111,7 +111,6 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
   result.f = fx;
 
   std::deque<Correction> hist;
-  Correction next;  // Storage for the next pair, recycled from the oldest.
   std::vector<size_t> free;
   free.reserve(n);
   std::vector<double> alpha;
@@ -186,7 +185,7 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
     ++result.gradient_evaluations;
 
     // Curvature update.
-    Correction& c = next;
+    Correction c;
     c.s.resize(n);
     c.y.resize(n);
     double sy = 0.0;
@@ -199,10 +198,7 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
     if (sy > 1e-10 * std::sqrt(ss * yy) && sy > 0.0) {
       c.rho = 1.0 / sy;
       hist.push_back(std::move(c));
-      if (static_cast<int>(hist.size()) > options.history) {
-        next = std::move(hist.front());
-        hist.pop_front();
-      }
+      if (static_cast<int>(hist.size()) > options.history) hist.pop_front();
     }
 
     double f_prev = fx;
