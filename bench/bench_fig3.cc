@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
     for (int r = 0; r < restarts; ++r) {
       Rng rng(static_cast<uint64_t>(1000 + r));
       OptMarginalsOptions opts;
-      opts.restarts = 1;
       opts.workload_aware_init = false;  // Pure random restarts (Figure 3).
       errors.push_back(OptMarginals(w, opts, &rng).error);
     }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "bench_util.h"
 #include "common/timer.h"
@@ -28,13 +29,16 @@ int main(int argc, char** argv) {
   // OPT_x: time to run the decomposed optimization.
   Domain d({n, n});
   UnionWorkload w = MakeProductWorkload(d, {AllRangeBlock(n), AllRangeBlock(n)});
+  // Two OPT_x runs, best kept: each run draws its start from its own stream.
   WallTimer t_kron;
   Rng rng1(1);
-  OptKronOptions kopts;
-  kopts.restarts = 2;
-  OptKronResult kres = OptKron(w, kopts, &rng1);
+  double kron_err = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < 2; ++r) {
+    Rng stream = rng1.Fork(static_cast<uint64_t>(r));
+    kron_err = std::min(kron_err, OptKron(w, OptKronOptions(), &stream).error);
+  }
   std::printf("OPT_x : %8.2fs  error %.1f  (vs identity %.1f)\n",
-              t_kron.Seconds(), kres.error, id_err);
+              t_kron.Seconds(), kron_err, id_err);
 
   // OPT_0 on the explicit 2D Gram, reporting the error trajectory by
   // re-running with increasing iteration budgets.

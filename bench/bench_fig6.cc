@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
     WallTimer t;
     Rng rng(2);
     OptMarginalsOptions opts;
-    opts.restarts = 1;
     opts.lbfgs.max_iterations = 100;
     OptMarginals(w, opts, &rng);
     std::printf("%-10d %12.3f\n", d, t.Seconds());

@@ -152,7 +152,6 @@ int main(int argc, char** argv) {
   for (int t : {1, 2, 4, 8}) {
     ThreadPool pool(t - 1);
     SetComputePool(&pool);
-    SetRestartPoolForTest(&pool);
 
     Arm arm;
     arm.threads = t;
@@ -170,7 +169,6 @@ int main(int argc, char** argv) {
     arm.plan_s = plan_timer.Seconds();
     arm.selection_hash = SelectionHash(w, res);
 
-    SetRestartPoolForTest(nullptr);
     SetComputePool(nullptr);
 
     if (t == 1) {

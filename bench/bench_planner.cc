@@ -685,7 +685,6 @@ std::vector<ThreadArm> BenchRestartScaling(const UnionWorkload& w) {
     // The arm's pool carries both the restart fan-out and the dense kernels
     // under it, exactly as a process started with HDMM_THREADS=t would run.
     ThreadPool pool(threads - 1);
-    SetRestartPoolForTest(&pool);
     SetComputePool(&pool);
     ThreadArm arm;
     arm.threads = threads;
@@ -705,7 +704,6 @@ std::vector<ThreadArm> BenchRestartScaling(const UnionWorkload& w) {
                   1e3 * pt.seconds / restarts);
     }
     SetComputePool(nullptr);
-    SetRestartPoolForTest(nullptr);
     std::printf("  threads=%d selection hash: %016llx\n", threads,
                 static_cast<unsigned long long>(arm.selection_hash));
     arms.push_back(std::move(arm));

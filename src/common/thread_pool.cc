@@ -18,10 +18,8 @@ thread_local bool tls_in_pool_task = false;
 std::atomic<int> g_requested_threads{0};
 std::atomic<bool> g_global_created{false};
 
-// Test-only override routing optimizer restart fan-out to a custom pool.
-std::atomic<ThreadPool*> g_restart_pool_override{nullptr};
-
-// Bench/test override routing the dense compute kernels to a custom pool.
+// Bench/test override routing the kernels and restart fan-out to a custom
+// pool.
 std::atomic<ThreadPool*> g_compute_pool_override{nullptr};
 
 int GlobalThreadCount() {
@@ -100,16 +98,6 @@ ThreadPool& ComputePool() {
 
 void SetComputePool(ThreadPool* pool) {
   g_compute_pool_override.store(pool, std::memory_order_release);
-}
-
-ThreadPool& RestartPool() {
-  ThreadPool* override_pool =
-      g_restart_pool_override.load(std::memory_order_acquire);
-  return override_pool != nullptr ? *override_pool : ThreadPool::Global();
-}
-
-void SetRestartPoolForTest(ThreadPool* pool) {
-  g_restart_pool_override.store(pool, std::memory_order_release);
 }
 
 void ThreadPool::Push(Task task) {

@@ -88,27 +88,18 @@ class ThreadPool {
 };
 
 /// The pool the dense compute kernels (GEMM, Cholesky, kron, eigensolver,
-/// batched answering) fan out on: ThreadPool::Global() unless an override is
+/// batched answering) and the optimizer's restart fan-out (OptimizeStrategy's
+/// grid, Opt0's restarts) run on: ThreadPool::Global() unless an override is
 /// installed. The indirection exists so benches and tests can run the same
-/// kernels on pools of different widths within one process — thread-count
-/// scaling arms, and the kernel thread-invariance tests — without paying a
-/// process restart per arm.
+/// code on pools of different widths within one process — thread-count
+/// scaling arms, and the kernel and planner thread-invariance tests — without
+/// paying a process restart per arm.
 ThreadPool& ComputePool();
 
 /// Installs (or, with nullptr, removes) a compute-pool override. Bench/test
-/// knob — not synchronized against in-flight kernels; quiesce all parallel
+/// knob — not synchronized against in-flight work; quiesce all parallel
 /// work before switching, and restore nullptr before the pool dies.
 void SetComputePool(ThreadPool* pool);
-
-/// The pool optimizer restart fan-out runs on: ThreadPool::Global() unless a
-/// test override is installed. The indirection exists so the planner
-/// determinism tests can run the same optimization on pools of different
-/// widths within one process and compare results bit-for-bit.
-ThreadPool& RestartPool();
-
-/// Installs (or, with nullptr, removes) a restart-pool override. Test-only;
-/// not synchronized against concurrent optimizer calls.
-void SetRestartPoolForTest(ThreadPool* pool);
 
 }  // namespace hdmm
 

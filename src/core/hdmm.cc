@@ -85,7 +85,7 @@ HdmmResult OptimizeStrategy(const UnionWorkload& w,
   OptMarginalsOptions marginals_opts = options.marginals;
   marginals_opts.lbfgs.cancel = options.cancel;
 
-  RestartPool().ParallelFor(
+  ComputePool().ParallelFor(
       0, static_cast<int64_t>(jobs.size()), /*grain=*/1,
       [&](int64_t j0, int64_t j1) {
         for (int64_t ji = j0; ji < j1; ++ji) {

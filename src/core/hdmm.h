@@ -21,7 +21,9 @@ namespace hdmm {
 struct HdmmOptions {
   /// Random restarts S (Algorithm 2). The paper uses 25 but observes that
   /// "far fewer than 25 restarts may be sufficient in practice"
-  /// (Section 8.1); the library default favors runtime.
+  /// (Section 8.1); the library default favors runtime. This is the only
+  /// restart loop above OPT_0: each (restart, operator) job runs its
+  /// operator once, from its own forked stream.
   int restarts = 3;
 
   bool use_kron = true;       ///< Run OPT_x.

@@ -73,11 +73,11 @@ Opt0Result Opt0(const Matrix& gram, const Opt0Options& options, Rng* rng) {
   for (int r = 0; r < restarts; ++r) {
     // Cycle the initialization scale across restarts: the Theta = 0 basin
     // (the identity strategy, always a strict local minimum) captures some
-    // scales on some workloads, and varying the scale escapes it.
-    const double scale = options.init_hi / static_cast<double>(int64_t{1} << (r % 3));
+    // scales on some workloads, and varying the scale escapes it. 0.5 is
+    // markedly more robust than 1.0 at small n.
+    const double scale = 0.5 / static_cast<double>(int64_t{1} << (r % 3));
     Rng child = rng->Fork(static_cast<uint64_t>(r));
-    theta0s.push_back(
-        Matrix::RandomUniform(p, n, &child, options.init_lo, scale));
+    theta0s.push_back(Matrix::RandomUniform(p, n, &child, 0.0, scale));
   }
 
   // Fan the restarts out over the pool. Each restart runs its whole L-BFGS-B
@@ -88,7 +88,7 @@ Opt0Result Opt0(const Matrix& gram, const Opt0Options& options, Rng* rng) {
   const GemmParallelism par =
       restarts > 1 ? GemmParallelism::kSerial : GemmParallelism::kPooled;
   std::vector<Opt0Result> results(static_cast<size_t>(restarts));
-  RestartPool().ParallelFor(0, restarts, /*grain=*/1, [&](int64_t r0,
+  ComputePool().ParallelFor(0, restarts, /*grain=*/1, [&](int64_t r0,
                                                           int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       results[static_cast<size_t>(r)] =

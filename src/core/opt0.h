@@ -15,11 +15,10 @@ namespace hdmm {
 /// Options for OPT_0.
 struct Opt0Options {
   int p = 0;           ///< Extra rows; 0 = auto (max(1, n/16), Section 7.1).
-  int restarts = 1;    ///< Random restarts (S in Algorithm 2).
+  /// Random restarts of this standalone OPT_0 (DAWA, the paper benches).
+  /// Algorithm 2's S is HdmmOptions::restarts, not this.
+  int restarts = 1;
   LbfgsbOptions lbfgs; ///< Inner optimizer settings.
-  /// Uniform init range for Theta. Restarts cycle the scale downward from
-  /// init_hi (see Opt0); 0.5 is markedly more robust than 1.0 at small n.
-  double init_lo = 0.0, init_hi = 0.5;
 };
 
 /// Result of OPT_0: the optimized parameters and their error.
@@ -32,11 +31,12 @@ struct Opt0Result {
 /// the Gram rather than W itself allows closed-form Grams for structured
 /// workloads (e.g., AllRange) that are too large to materialize.
 ///
-/// Restarts fan out in parallel over the shared pool, each on an
-/// independent stream forked from `rng` (Rng::Fork), with the lowest
-/// restart index winning error ties — the selected strategy is bit-identical
-/// at any thread count. Restart 0 is kept unconditionally so the result
-/// carries a valid Theta even when every restart evaluates non-finite.
+/// Restart r starts from Theta ~ U[0, 0.5 / 2^(r mod 3)). Restarts fan out
+/// in parallel over ComputePool(), each on an independent stream forked from
+/// `rng` (Rng::Fork), with the lowest restart index winning error ties — the
+/// selected strategy is bit-identical at any thread count. Restart 0 is kept
+/// unconditionally so the result carries a valid Theta even when every
+/// restart evaluates non-finite.
 Opt0Result Opt0(const Matrix& gram, const Opt0Options& options, Rng* rng);
 
 /// Warm-started single run from an existing parameter matrix (used by the

@@ -20,7 +20,6 @@ struct OptKronOptions {
   std::vector<int> p;
   int max_cycles = 8;       ///< Block-cyclic passes over the attributes.
   double cycle_tol = 1e-4;  ///< Relative improvement stopping threshold.
-  int restarts = 1;
   LbfgsbOptions lbfgs;
 };
 
@@ -32,7 +31,9 @@ struct OptKronResult {
   double error = 0.0;
 };
 
-/// Runs OPT_x on a (union of) product workload.
+/// Runs OPT_x on a (union of) product workload: one block-cyclic run from
+/// Theta_i ~ U[0, 0.5) drawn from rng->Fork(0). Random restarts are the
+/// caller's (OptimizeStrategy's grid gives each job its own stream).
 OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
                       Rng* rng);
 

@@ -1,8 +1,8 @@
 #include "core/opt_marginals.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-
 #include <vector>
 
 #include "common/check.h"
@@ -166,57 +166,34 @@ OptMarginalsResult OptMarginals(const UnionWorkload& w,
   best.theta[masks - 1] = 1.0;
   best.error = algebra.TraceObjective(best.theta, tau);
 
-  // Masks present in the workload (for the workload-aware initialization):
-  // a marginal strategy that measures roughly what the workload asks is an
-  // excellent starting basin.
-  Vector workload_mask_weight(masks, 0.0);
-  for (const ProductWorkload& prod : w.products()) {
-    uint32_t mask = 0;
-    for (int i = 0; i < w.domain().NumAttributes(); ++i) {
-      if (prod.factors[static_cast<size_t>(i)].rows() > 1) mask |= (1u << i);
-    }
-    workload_mask_weight[mask] += 1.0;
-  }
-
-  // Starting points are derived on the calling thread, in restart order,
-  // from forked streams — a pure function of the seed, so the fan-out below
-  // selects the same strategy at any thread count (lowest restart index
-  // wins ties).
-  const int restarts = std::max(1, options.restarts);
-  std::vector<Vector> theta0s(static_cast<size_t>(restarts));
-  for (int r = 0; r < restarts; ++r) {
-    Vector theta0(masks);
-    if (r == 0 && options.workload_aware_init) {
-      // Workload-aware start: weight the workload's own marginals, tiny
-      // weight elsewhere.
-      for (uint32_t a = 0; a < masks; ++a) {
-        theta0[a] = workload_mask_weight[a] > 0.0 ? 1.0 : 0.01;
+  // One run; Algorithm 2's restarts are OptimizeStrategy's grid, which hands
+  // every job its own stream. The random start is drawn from Fork(0) rather
+  // than from `rng` itself so that plans stay bit-identical to those of
+  // builds whose OPT_M ran its own restarts (restart 0 drew from Fork(0)).
+  Vector theta0(masks);
+  if (options.workload_aware_init) {
+    // Workload-aware start: a marginal strategy that measures roughly what
+    // the workload asks is an excellent basin. Weight the workload's own
+    // marginals, tiny weight elsewhere.
+    theta0.assign(masks, 0.01);
+    for (const ProductWorkload& prod : w.products()) {
+      uint32_t mask = 0;
+      for (int i = 0; i < w.domain().NumAttributes(); ++i) {
+        if (prod.factors[static_cast<size_t>(i)].rows() > 1) mask |= (1u << i);
       }
-    } else {
-      Rng child = rng->Fork(static_cast<uint64_t>(r));
-      const double scale = 1.0 / static_cast<double>(int64_t{1} << (r % 3));
-      for (uint32_t a = 0; a < masks; ++a)
-        theta0[a] = child.Uniform(0.0, scale);
+      theta0[mask] = 1.0;
     }
-    theta0[masks - 1] = std::max(theta0[masks - 1], 0.1);
-    theta0s[static_cast<size_t>(r)] = std::move(theta0);
+  } else {
+    Rng child = rng->Fork(0);
+    for (uint32_t a = 0; a < masks; ++a) theta0[a] = child.Uniform(0.0, 1.0);
   }
+  theta0[masks - 1] = std::max(theta0[masks - 1], 0.1);
 
-  std::vector<LbfgsbResult> results(static_cast<size_t>(restarts));
-  RestartPool().ParallelFor(0, restarts, /*grain=*/1, [&](int64_t r0,
-                                                          int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      results[static_cast<size_t>(r)] =
-          MinimizeLbfgsb(fn, std::move(theta0s[static_cast<size_t>(r)]), lower,
-                         upper, options.lbfgs);
-    }
-  });
-  for (int r = 0; r < restarts; ++r) {
-    LbfgsbResult& res = results[static_cast<size_t>(r)];
-    if (res.f < best.error) {
-      best.error = res.f;
-      best.theta = std::move(res.x);
-    }
+  LbfgsbResult res =
+      MinimizeLbfgsb(fn, std::move(theta0), lower, upper, options.lbfgs);
+  if (res.f < best.error) {
+    best.error = res.f;
+    best.theta = std::move(res.x);
   }
   return best;
 }

@@ -58,12 +58,11 @@ class MarginalsAlgebra {
 
 /// Options for OPT_M.
 struct OptMarginalsOptions {
-  int restarts = 1;
   LbfgsbOptions lbfgs;
   double min_full_weight = 1e-4;  ///< Lower bound keeping theta_{2^d} > 0.
-  /// Use the workload's own marginals as the first restart's starting point
-  /// (a very strong basin); disable to study pure random-restart behaviour
-  /// (Figure 3).
+  /// Start from the workload's own marginals (a very strong basin); disable
+  /// to start from theta ~ U[0, 1) drawn from rng->Fork(0), as pure random
+  /// restarts do (Figure 3).
   bool workload_aware_init = true;
 };
 
@@ -75,7 +74,9 @@ struct OptMarginalsResult {
 
 /// Optimizes the weighted-marginals strategy for a union-of-products
 /// workload. The sensitivity constraint is folded into the objective
-/// (sum theta_i)^2 * ||W M(theta)^+||_F^2 exactly as in Problem 4.
+/// (sum theta_i)^2 * ||W M(theta)^+||_F^2 exactly as in Problem 4. One
+/// L-BFGS-B run; its result is kept only if it beats theta = e_full (the
+/// full contingency table). Random restarts are the caller's.
 OptMarginalsResult OptMarginals(const UnionWorkload& w,
                                 const OptMarginalsOptions& options, Rng* rng);
 

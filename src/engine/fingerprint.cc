@@ -38,7 +38,6 @@ void HashKronOptions(WordHasher* h, const OptKronOptions& o) {
   for (int p : o.p) h->I32(p);
   h->I32(o.max_cycles);
   h->F64(o.cycle_tol);
-  h->I32(o.restarts);
   HashLbfgs(h, o.lbfgs);
 }
 
@@ -75,7 +74,10 @@ Fingerprint FingerprintWorkload(const UnionWorkload& w) {
 Fingerprint FingerprintPlan(const UnionWorkload& w,
                             const HdmmOptions& options) {
   WordHasher h;
-  h.U64(0x68646d6d70320000ULL);  // Format tag: "hdmmp2".
+  // Format tag "hdmmp3": bumped when the hashed option set changes (hdmmp2
+  // also hashed the operators' own restart counts), so a disk cache written
+  // under an older tag is re-planned once instead of misread.
+  h.U64(0x68646d6d70330000ULL);
   h.U64(FingerprintWorkload(w).value);
   h.I32(options.restarts);
   h.Bool(options.use_kron);
@@ -87,7 +89,6 @@ Fingerprint FingerprintPlan(const UnionWorkload& w,
   HashKronOptions(&h, options.union_opts.kron);
   h.I32(options.union_opts.max_groups);
   h.Bool(options.union_opts.optimize_budget_split);
-  h.I32(options.marginals.restarts);
   HashLbfgs(&h, options.marginals.lbfgs);
   h.F64(options.marginals.min_full_weight);
   h.Bool(options.marginals.workload_aware_init);

@@ -144,15 +144,36 @@ TEST(OptMarginals, NeverWorseThanFullTable) {
   EXPECT_LE(res.error, id_err + 1e-9);
 }
 
+TEST(OptMarginals, RandomStartNeverWorseThanFullTable) {
+  // The random-start counterpart of NeverWorseThanFullTable: a run from
+  // theta ~ U[0, 1) is compared with the same e_full fallback.
+  Domain d({4, 4, 4});
+  UnionWorkload w = UpToKWayMarginals(d, 2);
+  OptMarginalsOptions opts;
+  opts.workload_aware_init = false;
+  MarginalsAlgebra alg({4, 4, 4});
+  Vector full_only(8, 0.0);
+  full_only[7] = 1.0;
+  const double id_err =
+      alg.TraceObjective(full_only, alg.WorkloadTraceVector(w));
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    Rng rng(seed);
+    OptMarginalsResult res = OptMarginals(w, opts, &rng);
+    EXPECT_LE(res.error, id_err + 1e-9) << "seed " << seed;
+    MarginalsStrategy strat(d, res.theta);
+    EXPECT_NEAR(strat.SquaredError(w), res.error,
+                1e-6 * std::max(1.0, res.error))
+        << "seed " << seed;
+  }
+}
+
 TEST(OptMarginals, BeatsFullTableOnLargerDomains) {
   // The regime of Table 5: larger per-attribute domains make weighted
   // low-order marginals strongly better than the full contingency table.
   Domain d({10, 10, 10, 10});
   UnionWorkload w = UpToKWayMarginals(d, 2);
   Rng rng(7);
-  OptMarginalsOptions opts;
-  opts.restarts = 3;
-  OptMarginalsResult res = OptMarginals(w, opts, &rng);
+  OptMarginalsResult res = OptMarginals(w, OptMarginalsOptions(), &rng);
   MarginalsAlgebra alg({10, 10, 10, 10});
   Vector full_only(16, 0.0);
   full_only[15] = 1.0;

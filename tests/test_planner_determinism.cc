@@ -1,11 +1,12 @@
 // Thread-count invariance of the planner: for a fixed seed, Opt0 / OptKron /
 // OptMarginals / OptimizeStrategy must select bit-identical strategies and
-// errors whether restarts fan out over 1 thread, 4, or 16. The tests route
-// the restart fan-out through private pools of different widths
-// (SetRestartPoolForTest) and compare raw result bits, so any scheduling- or
-// reduction-order dependence fails loudly. 16 exceeds both the restart
-// counts used here (tasks outnumbered by threads — idle workers must not
-// perturb anything) and any CI runner's core count (oversubscription).
+// errors whether they run over 1 thread, 4, or 16. The tests route the
+// restart fan-out and the kernels under it through private pools of
+// different widths (SetComputePool) and compare raw result bits, so any
+// scheduling- or reduction-order dependence fails loudly. 16 exceeds both
+// the restart counts used here (tasks outnumbered by threads — idle workers
+// must not perturb anything) and any CI runner's core count
+// (oversubscription).
 #include <cstring>
 #include <string>
 
@@ -24,14 +25,14 @@
 namespace hdmm {
 namespace {
 
-// Runs `fn` with optimizer restart fan-out on a dedicated pool of
+// Runs `fn` with restart fan-out and compute kernels on a dedicated pool of
 // `total_threads` (callers included), restoring the default pool afterwards.
 template <typename Fn>
 auto WithRestartThreads(int total_threads, Fn fn) {
   ThreadPool pool(total_threads - 1);
-  SetRestartPoolForTest(&pool);
+  SetComputePool(&pool);
   auto result = fn();
-  SetRestartPoolForTest(nullptr);
+  SetComputePool(nullptr);
   return result;
 }
 
@@ -104,9 +105,9 @@ TEST(PlannerDeterminism, Opt0ThreadCountInvariant) {
 }
 
 TEST(PlannerDeterminism, OptKronThreadCountInvariant) {
+  // One OPT_x run gives the same bits at every kernel-pool width.
   UnionWorkload w = SmallCensus();
   OptKronOptions opts;
-  opts.restarts = 3;
   opts.max_cycles = 3;
   auto run = [&] {
     Rng rng(5);
@@ -132,8 +133,10 @@ TEST(PlannerDeterminism, OptMarginalsThreadCountInvariant) {
   ProductWorkload p2;
   p2.factors = {TotalBlock(3), IdentityBlock(4), TotalBlock(2)};
   w.AddProduct(p2);
+  // One OPT_M run from a random start (the branch that reads the Rng) gives
+  // the same bits at every kernel-pool width.
   OptMarginalsOptions opts;
-  opts.restarts = 3;
+  opts.workload_aware_init = false;
   auto run = [&] {
     Rng rng(13);
     return OptMarginals(w, opts, &rng);
