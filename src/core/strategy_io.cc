@@ -328,6 +328,15 @@ std::unique_ptr<Strategy> ParseMarginals(LineReader* reader,
     *error = reader->Error("marginals strategy with all-zero weights");
     return nullptr;
   }
+  // (M^T M)^{-1} exists only when theta_full^2 > 0 (InverseWeights'
+  // contract): a zero, or a tiny weight whose square underflows, would
+  // abort the first error estimate or reconstruction.
+  const double full = theta.back();
+  if (!(full * full > 0.0)) {
+    *error = reader->Error(
+        "theta's full-table weight (last entry) must have a positive square");
+    return nullptr;
+  }
   if (reader->Next()) {
     *error = reader->Error("trailing garbage after 'theta' line");
     return nullptr;
@@ -403,12 +412,30 @@ std::unique_ptr<Strategy> ParseStrategy(const std::string& text,
   }
   const std::string name = reader.line.substr(5);
 
-  if (kind == "explicit") return ParseExplicit(&reader, name, error);
-  if (kind == "kron") return ParseKron(&reader, name, error);
-  if (kind == "union-kron") return ParseUnionKron(&reader, name, error);
-  if (kind == "marginals") return ParseMarginals(&reader, name, error);
-  *error = reader.Error("unknown strategy kind '" + kind + "'");
-  return nullptr;
+  std::unique_ptr<Strategy> strategy;
+  if (kind == "explicit") {
+    strategy = ParseExplicit(&reader, name, error);
+  } else if (kind == "kron") {
+    strategy = ParseKron(&reader, name, error);
+  } else if (kind == "union-kron") {
+    strategy = ParseUnionKron(&reader, name, error);
+  } else if (kind == "marginals") {
+    strategy = ParseMarginals(&reader, name, error);
+  } else {
+    *error = reader.Error("unknown strategy kind '" + kind + "'");
+    return nullptr;
+  }
+  if (strategy == nullptr) return nullptr;
+  // Noise is scaled to the sensitivity, and the mechanisms abort on a zero
+  // or non-finite one (an all-zero factor, or entries whose column sums
+  // overflow). Such a file can never be measured, so it is corruption.
+  const double sensitivity = strategy->Sensitivity();
+  if (!(sensitivity > 0.0) || !std::isfinite(sensitivity)) {
+    *error = "strategy sensitivity " + std::to_string(sensitivity) +
+             " is not positive and finite";
+    return nullptr;
+  }
+  return strategy;
 }
 
 bool SaveStrategyFile(const std::string& path, const Strategy& strategy,

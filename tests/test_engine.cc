@@ -1131,6 +1131,41 @@ TEST(Engine, PlanTreatsWrongDomainCacheEntryAsMiss) {
   EXPECT_EQ(again.strategy->DomainSize(), w.DomainSize());
 }
 
+TEST(Engine, UnmeasurableCachedStrategyIsReplannedBeforeTheCharge) {
+  // A cached kron file with an all-zero factor has the workload's domain
+  // but sensitivity 0. It must be quarantined as corrupt and re-planned, so
+  // MeasureOr charges the budget once and measures the new plan instead of
+  // dying on the noise scale after the charge.
+  const std::string dir = FreshDir("engine_unmeasurable");
+  std::filesystem::create_directories(dir);
+  UnionWorkload w = SmallWorkload();
+  EngineOptions options = FastEngineOptions(dir);
+  Engine engine(options);
+  const std::string path =
+      engine.cache().DiskPath(FingerprintPlan(w, options.optimizer));
+  {
+    std::ofstream planted(path);
+    planted << SerializeStrategy(
+        KronStrategy({Matrix::Zeros(1, 2), IdentityBlock(8)}, "planted"));
+  }
+  Vector x(static_cast<size_t>(w.DomainSize()), 2.0);
+  Rng rng(61);
+  auto measured =
+      engine.MeasureOr(w, "planted.csv", x, MeasureRequest::Laplace(0.5), &rng);
+  ASSERT_TRUE(measured.ok()) << measured.status().ToString();
+  EXPECT_EQ(engine.accountant().NumCharges("planted.csv"), 1);
+  EXPECT_NEAR(engine.accountant().Spent("planted.csv"), 0.5, 1e-15);
+  EXPECT_EQ(engine.cache().stats().corrupt_quarantined, 1u);
+  EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
+  // The re-planned strategy took the slot.
+  StrategyCache disk(options.cache);
+  StrategyCache::Tier tier;
+  auto replanned = disk.Get(FingerprintPlan(w, options.optimizer), &tier);
+  ASSERT_NE(replanned, nullptr);
+  EXPECT_EQ(tier, StrategyCache::Tier::kDisk);
+  EXPECT_GT(replanned->Sensitivity(), 0.0);
+}
+
 TEST(Engine, PlanSurfacesDiskWriteFailure) {
   EngineOptions options = FastEngineOptions();
   // A file where the cache directory should be: create_directories fails.
