@@ -308,42 +308,11 @@ Vector MarginalsStrategy::Apply(const Vector& x) const {
 }
 
 Vector MarginalsStrategy::Reconstruct(const Vector& y) const {
-  // x_hat = (M^T M)^{-1} M^T y, with (M^T M)^{-1} = G(v) (Appendix A.4).
-  const uint32_t masks = algebra_.num_masks();
-  Vector u(masks);
-  for (uint32_t a = 0; a < masks; ++a) u[a] = theta_[a] * theta_[a];
-  Vector v = algebra_.InverseWeights(u);
-
-  // M^T y: accumulate theta_a * (marginal factors)^T y_a.
-  const int64_t n = domain_.TotalSize();
-  Vector mty(static_cast<size_t>(n), 0.0);
-  size_t offset = 0;
-  for (uint32_t mask : ActiveMasks()) {
-    std::vector<Matrix> factors = MarginalFactors(mask);
-    int64_t rows = 1;
-    for (const Matrix& f : factors) rows *= f.rows();
-    Vector sub(y.begin() + static_cast<long>(offset),
-               y.begin() + static_cast<long>(offset + static_cast<size_t>(rows)));
-    Vector part = KronMatTVec(factors, sub);
-    Axpy(theta_[mask], part, &mty);
-    offset += static_cast<size_t>(rows);
-  }
-  HDMM_CHECK(offset == y.size());
-
-  // G(v) * mty = sum_a v_a C(a) mty, each term a Kronecker mat-vec with
-  // factors I or the all-ones matrix.
-  Vector xhat(static_cast<size_t>(n), 0.0);
-  for (uint32_t a = 0; a < masks; ++a) {
-    if (v[a] == 0.0) continue;
-    std::vector<Matrix> factors;
-    for (int i = 0; i < domain_.NumAttributes(); ++i) {
-      const int64_t ni = domain_.AttributeSize(i);
-      factors.push_back(((a >> i) & 1u) ? IdentityBlock(ni)
-                                        : Matrix::Ones(ni, ni));
-    }
-    Vector part = KronMatVec(factors, mty);
-    Axpy(v[a], part, &xhat);
-  }
+  // x_hat = (M^T M)^{-1} M^T y, with (M^T M)^{-1} = G(v) (Appendix A.4),
+  // through the same per-submask tables the sessions stream from.
+  Vector xhat(static_cast<size_t>(domain_.TotalSize()));
+  MarginalsStreamReconstructor(*this, y).Fill(0, domain_.TotalSize(),
+                                              xhat.data());
   return xhat;
 }
 
@@ -373,24 +342,14 @@ Vector DownsumTable(const Domain& domain, uint32_t mask, uint32_t sub,
   for (size_t i = k; i-- > 1;) {
     in_stride[i - 1] = in_stride[i] * domain.AttributeSize(attrs[i]);
   }
+  // Row-major strides of the output over the kept attributes (0 = summed
+  // out), built innermost-first.
   int64_t out_cells = 1;
   std::vector<int64_t> out_stride(k, 0);
   for (size_t i = k; i-- > 0;) {
     if ((sub >> attrs[i]) & 1u) {
       out_stride[i] = out_cells;
       out_cells *= domain.AttributeSize(attrs[i]);
-    }
-  }
-  // out_stride above grew innermost-first; rebuild in row-major form.
-  {
-    int64_t s = 1;
-    for (size_t i = k; i-- > 0;) {
-      if ((sub >> attrs[i]) & 1u) {
-        out_stride[i] = s;
-        s *= domain.AttributeSize(attrs[i]);
-      } else {
-        out_stride[i] = 0;
-      }
     }
   }
   Vector out(static_cast<size_t>(out_cells), 0.0);

@@ -201,7 +201,8 @@ class MarginalsStrategy : public Strategy {
   double L2Sensitivity() const override;
   Vector Apply(const Vector& x) const override;
   /// M^+ y = (M^T M)^+ M^T y with (M^T M)^{-1} = G(v) from the closed
-  /// marginals algebra (Section 7.2 / Appendix A.4).
+  /// marginals algebra (Section 7.2 / Appendix A.4): the full-domain Fill of
+  /// a MarginalsStreamReconstructor, so x_hat matches what sessions serve.
   Vector Reconstruct(const Vector& y) const override;
   double SquaredError(const UnionWorkload& w) const override;
 
@@ -224,11 +225,13 @@ class MarginalsStrategy : public Strategy {
 };
 
 /// Streams a marginals-measured reconstruction tile-by-tile: the closed-form
-/// x_hat = G(v) M^T y of MarginalsStrategy::Reconstruct re-expressed as a
-/// sum of small per-submask tables, so any cell range of x_hat can be
-/// produced in O(#tables) per cell without ever materializing a full-domain
-/// vector. Out-of-core sessions build their tiled summed-area table through
-/// this — the only full-domain state during construction is one tile buffer.
+/// x_hat = G(v) M^T y re-expressed as a sum of small per-submask tables, so
+/// any cell range of x_hat can be produced in O(#tables) per cell without
+/// ever materializing a full-domain vector. It is the only marginals
+/// reconstruction: MarginalsStrategy::Reconstruct fills the whole domain
+/// with it, and out-of-core sessions build their tiled summed-area table
+/// through it — the only full-domain state during construction is one tile
+/// buffer.
 ///
 /// Derivation: with v = InverseWeights(theta^2) and y split into raw
 /// per-mask measurement tables Y_m,
