@@ -94,8 +94,8 @@ PlanTimings BenchPlan(const UnionWorkload& w, const std::string& cache_dir) {
       t.warm_mem_s = rep == 0 ? warm.seconds
                               : std::min(t.warm_mem_s, warm.seconds);
     }
-    std::printf("  warm plan (memory cache):  %9.3f ms  (%.0fx)\n",
-                1e3 * t.warm_mem_s, t.cold_s / t.warm_mem_s);
+    std::printf("  warm plan (memory cache):  %9.3f us  (%.0fx)\n",
+                1e6 * t.warm_mem_s, t.cold_s / t.warm_mem_s);
   }
   return t;
 }
@@ -163,8 +163,8 @@ FailpointTimings BenchFailpoints(const UnionWorkload& w,
               t.disabled_check_ns);
   std::printf("  disabled check, armed reg: %9.3f ns  (other point armed)\n",
               t.armed_other_check_ns);
-  std::printf("  warm plan, armed registry: %9.3f ms  (baseline %.3f ms)\n",
-              1e3 * t.warm_mem_armed_s, 1e3 * warm_mem_baseline_s);
+  std::printf("  warm plan, armed registry: %9.3f us  (baseline %.3f us)\n",
+              1e6 * t.warm_mem_armed_s, 1e6 * warm_mem_baseline_s);
   std::printf("  warm-plan overhead bound:  %9.4f %%  (64 sites assumed)\n",
               t.overhead_pct_bound);
   if (fired != 0) std::printf("  (impossible: probe fired %lld)\n",
@@ -470,13 +470,13 @@ void WriteJson(const PlanTimings& plan, const FailpointTimings& fp,
   hdmm_bench::WriteJsonHeader(f, "bench_engine");
   std::fprintf(f,
                "  \"plan\": {\"cold_s\": %.6f, \"warm_disk_s\": %.6f, "
-               "\"warm_mem_s\": %.6f, \"warm_disk_speedup\": %.1f, "
+               "\"warm_mem_s\": %.9f, \"warm_disk_speedup\": %.1f, "
                "\"warm_mem_speedup\": %.1f},\n",
                plan.cold_s, plan.warm_disk_s, plan.warm_mem_s,
                plan.cold_s / plan.warm_disk_s, plan.cold_s / plan.warm_mem_s);
   std::fprintf(f,
                "  \"failpoints\": {\"disabled_check_ns\": %.4f, "
-               "\"armed_other_check_ns\": %.4f, \"warm_mem_armed_s\": %.6f, "
+               "\"armed_other_check_ns\": %.4f, \"warm_mem_armed_s\": %.9f, "
                "\"overhead_pct_bound\": %.6f},\n",
                fp.disabled_check_ns, fp.armed_other_check_ns,
                fp.warm_mem_armed_s, fp.overhead_pct_bound);

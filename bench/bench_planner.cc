@@ -19,18 +19,21 @@
 //            and the sensitivity are memoized on the strategy, and the
 //            workload factor Grams come shared from the GramCache, so
 //            re-scoring a candidate never densifies the implicit factors).
-//   plan     full OPT_HDMM cold plan on the bench_engine census workload,
-//            with GramCache hit/miss/closed-form counts and the OPT_0
-//            objective evaluations and gradients it took, plus a second
-//            plan over the warm Gram cache (cross-call reuse).
+//   plan     full OPT_HDMM cold plan on a freshly parsed bench_engine
+//            census workload, with GramCache hit/miss/closed-form counts,
+//            the OPT_0 objective evaluations and gradients it took, and the
+//            factors it hashed (with the plan's fingerprint: one per
+//            factor), plus a second plan over the warm Gram cache
+//            (cross-call reuse).
 //   scaling  cold-plan wall time vs restart count on private pools of
 //            1/2/4 total threads (restarts fan out in parallel), with a
 //            content hash of the 8-restart winner per arm proving the
 //            selected strategy is bit-identical at every thread count.
 //
 // Emits BENCH_planner.json; the planner-smoke CI job parses it and fails
-// the build if the speedup regresses below 2x, the inner loop allocates, or
-// an Eval with a gradient costs 2.5x an objective-only one.
+// the build if the speedup regresses below 2x, the inner loop allocates,
+// an Eval with a gradient costs 2.5x an objective-only one, or the cold plan
+// hashes a factor more than once.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -51,6 +54,7 @@
 #include "core/hdmm.h"
 #include "core/opt0.h"
 #include "core/strategy.h"
+#include "engine/fingerprint.h"
 #include "linalg/cholesky.h"
 #include "linalg/gemm.h"
 #include "optimize/lbfgsb.h"
@@ -605,8 +609,13 @@ struct PlanTimings {
   // a gradient (the starts and the accepted line-search steps).
   uint64_t cold_objective_evals = 0;
   uint64_t cold_gradients = 0;
+  // Factors hashed by the cold plan and its fingerprint, and the workload's
+  // factor count (products x attributes) that bounds it.
+  uint64_t cold_factor_keys = 0;
+  int factors = 0;
 };
 
+// `w` must be freshly parsed, so that none of its factor keys is hashed yet.
 PlanTimings BenchColdPlan(const UnionWorkload& w) {
   HdmmOptions options;
   options.restarts = 1;
@@ -615,22 +624,32 @@ PlanTimings BenchColdPlan(const UnionWorkload& w) {
   PlanTimings t;
   Counter* const evals = Metrics::GetCounter("optimizer.evals");
   Counter* const gradients = Metrics::GetCounter("optimizer.gradients");
+  Counter* const factor_keys = Metrics::GetCounter("workload.factor_keys");
   GramCache::Global().Clear();
   GramCache::Global().ResetStats();
   {
     const uint64_t evals0 = evals->Value();
     const uint64_t gradients0 = gradients->Value();
+    const uint64_t keys0 = factor_keys->Value();
     WallTimer timer;
     HdmmResult res = OptimizeStrategy(w, options);
     t.cold_s = timer.Seconds();
     t.cold_stats = GramCache::Global().stats();
     t.cold_objective_evals = evals->Value() - evals0;
     t.cold_gradients = gradients->Value() - gradients0;
+    // Engine::Plan fingerprints the same workload object; its keys are
+    // already hashed by now.
+    FingerprintPlan(w, options);
+    t.cold_factor_keys = factor_keys->Value() - keys0;
+    t.factors = w.NumProducts() * w.domain().NumAttributes();
     std::printf("  cold plan (empty gram cache): %8.1f ms  -> %s\n",
                 1e3 * t.cold_s, res.chosen_operator.c_str());
     std::printf("  OPT_0 objective evaluations: %llu, gradients: %llu\n",
                 static_cast<unsigned long long>(t.cold_objective_evals),
                 static_cast<unsigned long long>(t.cold_gradients));
+    std::printf("  factors hashed (plan + fingerprint): %llu of %d\n",
+                static_cast<unsigned long long>(t.cold_factor_keys),
+                t.factors);
   }
   GramCache::Global().ResetStats();
   {
@@ -756,14 +775,17 @@ void WriteJson(const EvalRace& race, double gradient_cost_ratio,
                "  \"plan\": {\"cold_s\": %.6f, \"warm_gram_s\": %.6f, "
                "\"cold_gram_misses\": %llu, \"cold_gram_hits\": %llu, "
                "\"cold_closed_form\": %llu, \"warm_hit_rate\": %.3f, "
-               "\"objective_evals\": %llu, \"gradients\": %llu},\n",
+               "\"objective_evals\": %llu, \"gradients\": %llu, "
+               "\"factor_keys\": %llu, \"factors\": %d},\n",
                plan.cold_s, plan.warm_gram_s,
                static_cast<unsigned long long>(plan.cold_stats.misses),
                static_cast<unsigned long long>(plan.cold_stats.hits),
                static_cast<unsigned long long>(plan.cold_stats.closed_form),
                plan.warm_stats.HitRate(),
                static_cast<unsigned long long>(plan.cold_objective_evals),
-               static_cast<unsigned long long>(plan.cold_gradients));
+               static_cast<unsigned long long>(plan.cold_gradients),
+               static_cast<unsigned long long>(plan.cold_factor_keys),
+               plan.factors);
   std::fprintf(f, "  \"restart_scaling\": [\n");
   for (size_t i = 0; i < scaling.size(); ++i) {
     const ThreadArm& arm = scaling[i];
@@ -806,7 +828,7 @@ int main(int argc, char** argv) {
               "threads) ===\n",
               static_cast<long long>(w.DomainSize()),
               ThreadPool::Global().num_threads());
-  const PlanTimings plan = BenchColdPlan(w);
+  const PlanTimings plan = BenchColdPlan(CensusWorkload(full));
 
   std::printf("\n=== planner: restart scaling (deterministic parallel "
               "restarts, private 1/2/4-thread pools) ===\n");

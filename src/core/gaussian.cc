@@ -1,19 +1,42 @@
 #include "core/gaussian.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
 namespace hdmm {
 
+double L2Norm(const double* v, int64_t n, int64_t stride) {
+  double sq = 0.0;
+  for (int64_t i = 0; i < n; ++i) sq += v[i * stride] * v[i * stride];
+  if (sq >= std::numeric_limits<double>::min() &&
+      sq <= std::numeric_limits<double>::max()) {
+    return std::sqrt(sq);
+  }
+  // The squares overflowed or underflowed: rescale by the largest magnitude.
+  double scale = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    scale = std::max(scale, std::fabs(v[i * stride]));
+  }
+  if (scale == 0.0 || !std::isfinite(scale)) return std::sqrt(sq);
+  double scaled = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const double r = v[i * stride] / scale;
+    scaled += r * r;
+  }
+  return scale * std::sqrt(scaled);
+}
+
 double L2Sensitivity(const Matrix& a) {
+  // max_j sqrt(s_j) == sqrt(max_j s_j): sqrt is correctly rounded and
+  // monotone, so column norms in the normal range keep their bits.
   double best = 0.0;
   for (int64_t j = 0; j < a.cols(); ++j) {
-    double s = 0.0;
-    for (int64_t i = 0; i < a.rows(); ++i) s += a(i, j) * a(i, j);
-    best = std::max(best, s);
+    best = std::max(best, L2Norm(a.data() + j, a.rows(), a.cols()));
   }
-  return std::sqrt(best);
+  return best;
 }
 
 double KronL2Sensitivity(const std::vector<Matrix>& factors) {

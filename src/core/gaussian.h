@@ -12,11 +12,19 @@
 #ifndef HDMM_CORE_GAUSSIAN_H_
 #define HDMM_CORE_GAUSSIAN_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "linalg/matrix.h"
 
 namespace hdmm {
+
+/// Euclidean norm of v[0], v[stride], ..., v[(n - 1) * stride]. The plain
+/// sqrt(sum of squares) whenever that sum is a normal double, so ordinary
+/// norms keep their bits; when the squares overflow or underflow it is
+/// recomputed scaled by the largest magnitude, so the norm is finite
+/// wherever the L1 norm is, and positive wherever a value is nonzero.
+double L2Norm(const double* v, int64_t n, int64_t stride = 1);
 
 /// L2 sensitivity of an explicit strategy: max column Euclidean norm.
 double L2Sensitivity(const Matrix& a);

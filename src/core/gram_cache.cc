@@ -132,6 +132,8 @@ bool RecognizeClosedFormGram(const Matrix& factor, Matrix* gram) {
 }
 
 uint64_t GramCache::FactorKey(const Matrix& factor) {
+  static Counter* const keys = Metrics::GetCounter("workload.factor_keys");
+  keys->Add(1);
   WordHasher h;
   h.U64(0x6772616d6b310000ULL);  // Format tag: "gramk1".
   h.I64(factor.rows());
@@ -141,11 +143,15 @@ uint64_t GramCache::FactorKey(const Matrix& factor) {
 }
 
 std::shared_ptr<const Matrix> GramCache::FactorGram(const Matrix& factor) {
+  return FactorGramWithKey(factor, FactorKey(factor));
+}
+
+std::shared_ptr<const Matrix> GramCache::FactorGramWithKey(const Matrix& factor,
+                                                           uint64_t key) {
   static Counter* const hit_count = Metrics::GetCounter("gram_cache.hits");
   static Counter* const miss_count = Metrics::GetCounter("gram_cache.misses");
   static Counter* const closed_count =
       Metrics::GetCounter("gram_cache.closed_form");
-  const uint64_t key = FactorKey(factor);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);

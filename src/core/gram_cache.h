@@ -25,6 +25,8 @@
 
 namespace hdmm {
 
+class UnionWorkload;
+
 /// Structural recognition of the closed-form building-block Grams. Returns
 /// true and fills `gram` when `factor` is (any row permutation of) Identity,
 /// Total, Prefix, AllRange, or a fixed-width range workload; false — with
@@ -46,6 +48,9 @@ class GramCache {
   /// canonicalized, as in engine/fingerprint). Equal keys mean equal
   /// factors up to 64-bit collision odds, so the key doubles as the
   /// dedup/sharing identity OPT_x uses for its per-attribute Gram pools.
+  /// Reads every entry; each call adds one to the `workload.factor_keys`
+  /// counter. Workload factors are keyed once per workload object through
+  /// UnionWorkload::FactorKey.
   static uint64_t FactorKey(const Matrix& factor);
 
   /// The Gram factor^T factor, memoized on FactorKey.
@@ -72,12 +77,21 @@ class GramCache {
   /// to rebuild and an LRU chain is not worth the bookkeeping here.
   int64_t resident_doubles() const;
 
-  /// Process-wide cache consulted by ProductWorkload::FactorGram, OPT_x's
-  /// per-attribute Gram pools, and (for its hit-rate accounting)
-  /// Engine::Plan.
+  /// Process-wide cache consulted by UnionWorkload::FactorGram (OPT_x's
+  /// per-attribute Gram pools, every candidate's SquaredError) and, for its
+  /// hit-rate accounting, Engine::Plan.
   static GramCache& Global();
 
  private:
+  friend class UnionWorkload;
+
+  /// FactorGram under a key already computed as FactorKey(factor). Private:
+  /// a key from any other factor would poison the process-wide cache, so
+  /// only UnionWorkload, which computes each key from its own factor, may
+  /// pass one.
+  std::shared_ptr<const Matrix> FactorGramWithKey(const Matrix& factor,
+                                                  uint64_t key);
+
   // ~256 MiB of cached Grams before a wholesale sweep.
   static constexpr int64_t kMaxResidentDoubles = int64_t{1} << 25;
 

@@ -51,10 +51,7 @@ Opt0Result Opt0WarmStart(const Matrix& gram, const Matrix& theta0,
   gradients->Add(static_cast<uint64_t>(res.gradient_evaluations));
   Opt0Result out;
   out.theta = Matrix(p, gram.rows(), std::move(res.x));
-  // Report the error through the backward-stable dense path so the restart
-  // selection can never be fooled by Woodbury cancellation at extreme Theta
-  // (one O(n^3) evaluation per restart).
-  out.error = PIdentityObjective::EvalReference(out.theta, gram);
+  out.error = res.f;
   return out;
 }
 
@@ -91,9 +88,14 @@ Opt0Result Opt0(const Matrix& gram, const Opt0Options& options, Rng* rng) {
   ComputePool().ParallelFor(0, restarts, /*grain=*/1, [&](int64_t r0,
                                                           int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
-      results[static_cast<size_t>(r)] =
-          Opt0WarmStart(gram, theta0s[static_cast<size_t>(r)], options.lbfgs,
-                        par);
+      Opt0Result& res = results[static_cast<size_t>(r)];
+      res = Opt0WarmStart(gram, theta0s[static_cast<size_t>(r)], options.lbfgs,
+                          par);
+      // Score the restart through the backward-stable dense path so the
+      // selection can never be fooled by Woodbury cancellation at extreme
+      // Theta (one O(n^3) evaluation per restart; selection is its only
+      // reader).
+      res.error = PIdentityObjective::EvalReference(res.theta, gram);
     }
   });
 

@@ -23,8 +23,12 @@ struct Opt0Options {
 
 /// Result of OPT_0: the optimized parameters and their error.
 struct Opt0Result {
-  Matrix theta;        ///< p x n parameters of the p-Identity strategy.
-  double error = 0.0;  ///< ||W A^+||_F^2 (sensitivity-1 expected error).
+  Matrix theta;  ///< p x n parameters of the p-Identity strategy.
+  /// ||W A^+||_F^2 (sensitivity-1 expected error). From Opt0, the O(n^3)
+  /// dense reference evaluation (PIdentityObjective::EvalReference) its
+  /// restart selection is scored on; from Opt0WarmStart, L-BFGS-B's final
+  /// objective value (the fast path's, no extra evaluation).
+  double error = 0.0;
 };
 
 /// Runs OPT_0 on the Gram matrix G = W^T W of an explicit workload. Taking
@@ -33,16 +37,17 @@ struct Opt0Result {
 ///
 /// Restart r starts from Theta ~ U[0, 0.5 / 2^(r mod 3)). Restarts fan out
 /// in parallel over ComputePool(), each on an independent stream forked from
-/// `rng` (Rng::Fork), with the lowest restart index winning error ties — the
-/// selected strategy is bit-identical at any thread count. Restart 0 is kept
-/// unconditionally so the result carries a valid Theta even when every
-/// restart evaluates non-finite.
+/// `rng` (Rng::Fork), and each is scored by EvalReference; the lowest
+/// restart index wins error ties — the selected strategy is bit-identical
+/// at any thread count. Restart 0 is kept unconditionally so the result
+/// carries a valid Theta even when every restart evaluates non-finite.
 Opt0Result Opt0(const Matrix& gram, const Opt0Options& options, Rng* rng);
 
 /// Warm-started single run from an existing parameter matrix (used by the
-/// block-cyclic union optimization, Problem 3). `par` selects the compute
-/// kernels of the inner objective: callers that already run warm starts in
-/// parallel (restart fan-out) pass kSerial.
+/// block-cyclic union optimization, Problem 3): L-BFGS-B's Theta and final
+/// objective value, nothing else. `par` selects the compute kernels of the
+/// inner objective: callers that already run warm starts in parallel
+/// (restart fan-out) pass kSerial.
 Opt0Result Opt0WarmStart(const Matrix& gram, const Matrix& theta0,
                          const LbfgsbOptions& lbfgs,
                          GemmParallelism par = GemmParallelism::kPooled);

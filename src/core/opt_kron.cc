@@ -1,32 +1,47 @@
 #include "core/opt_kron.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
-#include "core/gram_cache.h"
 
 namespace hdmm {
 
-int AttributeDefaultP(const UnionWorkload& w, int attribute) {
+int AttributeDefaultP(const UnionWorkload& w, const std::vector<int>& products,
+                      int attribute) {
   int p = 1;
-  for (const ProductWorkload& prod : w.products()) {
-    int candidate = DefaultP(prod.factors[static_cast<size_t>(attribute)]);
-    p = std::max(p, candidate);
+  for (int j : products) {
+    const ProductWorkload& prod = w.products()[static_cast<size_t>(j)];
+    p = std::max(p, DefaultP(prod.factors[static_cast<size_t>(attribute)]));
   }
   return p;
 }
 
 OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
                       Rng* rng) {
+  std::vector<int> all(static_cast<size_t>(w.NumProducts()));
+  std::iota(all.begin(), all.end(), 0);
+  return OptKron(w, all, options, rng);
+}
+
+OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
+                      const OptKronOptions& options, Rng* rng) {
   const int d = w.domain().NumAttributes();
-  const int k = w.NumProducts();
+  const int k = static_cast<int>(products.size());
   HDMM_CHECK(k >= 1);
+  for (int j : products) HDMM_CHECK(j >= 0 && j < w.NumProducts());
+  // Weight of the j-th listed product.
+  auto weight = [&](int j) {
+    return w.products()[static_cast<size_t>(products[static_cast<size_t>(j)])]
+        .weight;
+  };
 
   // Per-product, per-attribute Gram matrices (Section 6.2 notes (W^T W)_i^(j)
-  // can be precomputed), deduplicated on the GramCache content fingerprint:
+  // can be precomputed), deduplicated on the workload's factor keys:
   // products that share an identical factor for attribute i (the common case
   // — unions are usually built from a small set of per-attribute building
   // blocks) share one Gram, one trace entry in the t table, and one term in
@@ -34,24 +49,23 @@ OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
   // GramCache, so they also survive across optimizer calls (serve-mode plans
   // re-planning similar workloads pay nothing).
   // unique_grams[i][u] is the Gram pool for attribute i; gram_id[j][i] maps
-  // product j into it.
+  // listed product j into it.
   std::vector<std::vector<std::shared_ptr<const Matrix>>> unique_grams(
       static_cast<size_t>(d));
   std::vector<std::vector<int>> gram_id(static_cast<size_t>(k),
                                         std::vector<int>(static_cast<size_t>(d)));
   for (int i = 0; i < d; ++i) {
-    std::unordered_map<uint64_t, int> by_key;  // fingerprint -> pool index
+    std::unordered_map<uint64_t, int> by_key;  // factor key -> pool index
     for (int j = 0; j < k; ++j) {
-      const Matrix& f =
-          w.products()[static_cast<size_t>(j)].factors[static_cast<size_t>(i)];
-      const uint64_t key = GramCache::FactorKey(f);
+      const int product = products[static_cast<size_t>(j)];
+      const uint64_t key = w.FactorKey(product, i);
       auto it = by_key.find(key);
       if (it == by_key.end()) {
         it = by_key.emplace(key, static_cast<int>(
                                      unique_grams[static_cast<size_t>(i)].size()))
                  .first;
         unique_grams[static_cast<size_t>(i)].push_back(
-            GramCache::Global().FactorGram(f));
+            w.FactorGram(product, i));
       }
       gram_id[static_cast<size_t>(j)][static_cast<size_t>(i)] = it->second;
     }
@@ -60,7 +74,7 @@ OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
   std::vector<int> p(static_cast<size_t>(d));
   for (int i = 0; i < d; ++i) {
     p[static_cast<size_t>(i)] = options.p.empty()
-                                    ? AttributeDefaultP(w, i)
+                                    ? AttributeDefaultP(w, products, i)
                                     : options.p[static_cast<size_t>(i)];
   }
 
@@ -97,8 +111,7 @@ OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
   auto total_error = [&]() {
     double total = 0.0;
     for (int j = 0; j < k; ++j) {
-      double term = w.products()[static_cast<size_t>(j)].weight *
-                    w.products()[static_cast<size_t>(j)].weight;
+      double term = weight(j) * weight(j);
       for (int i = 0; i < d; ++i) term *= t(j, i);
       total += term;
     }
@@ -120,8 +133,7 @@ OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
       const auto& pool = unique_grams[static_cast<size_t>(i)];
       std::vector<double> coeff(pool.size(), 0.0);
       for (int j = 0; j < k; ++j) {
-        double c2 = w.products()[static_cast<size_t>(j)].weight *
-                    w.products()[static_cast<size_t>(j)].weight;
+        double c2 = weight(j) * weight(j);
         for (int i2 = 0; i2 < d; ++i2) {
           if (i2 == i) continue;
           c2 *= t(j, i2);

@@ -37,12 +37,20 @@ struct OptKronResult {
 OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
                       Rng* rng);
 
+/// OPT_x over the products of `w` listed in `products` (in that order), as
+/// if they were copied into a workload of their own: OPT_+ runs each group
+/// this way, reading the parent workload's factors and factor keys in place.
+OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
+                      const OptKronOptions& options, Rng* rng);
+
 /// Builds the explicit per-attribute strategy factors A_i(Theta_i) from an
 /// OPT_x result.
 std::vector<Matrix> KronStrategyFactors(const OptKronResult& result);
 
-/// The Section 7.1 p-convention for attribute i of a union workload.
-int AttributeDefaultP(const UnionWorkload& w, int attribute);
+/// The Section 7.1 p-convention for attribute i over the listed products of
+/// a union workload.
+int AttributeDefaultP(const UnionWorkload& w, const std::vector<int>& products,
+                      int attribute);
 
 }  // namespace hdmm
 

@@ -75,9 +75,7 @@ OptUnionResult OptUnion(const UnionWorkload& w, const OptUnionOptions& options,
   out.group_products = groups;
   std::vector<double> group_errors;
   for (const std::vector<int>& group : groups) {
-    UnionWorkload sub(w.domain());
-    for (int j : group) sub.AddProduct(w.products()[static_cast<size_t>(j)]);
-    OptKronResult res = OptKron(sub, options.kron, rng);
+    OptKronResult res = OptKron(w, group, options.kron, rng);
     group_errors.push_back(res.error);
     out.group_thetas.push_back(std::move(res.thetas));
   }

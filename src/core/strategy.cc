@@ -137,14 +137,16 @@ double KronStrategy::SquaredError(const UnionWorkload& w) const {
              w.domain().NumAttributes());
   // Theorem 6: ||W A^+||_F^2 = sum_j w_j^2 prod_i tr[(A_i^T A_i)^+ G_i^(j)].
   // The factor Grams and their inverses live on the strategy (FactorTracers)
-  // and the workload Grams come shared from the GramCache, so once both are
-  // warm a repeated evaluation materializes nothing.
+  // and the workload Grams come shared from the GramCache under the
+  // workload's own factor keys, so once both are warm a repeated evaluation
+  // materializes and rehashes nothing.
   const std::vector<PinvGramTracer>& tracers = FactorTracers();
   double total = 0.0;
-  for (const ProductWorkload& prod : w.products()) {
-    double term = prod.weight * prod.weight;
+  for (int j = 0; j < w.NumProducts(); ++j) {
+    const double weight = w.products()[static_cast<size_t>(j)].weight;
+    double term = weight * weight;
     for (size_t i = 0; i < factors_.size(); ++i) {
-      term *= tracers[i].Trace(*prod.FactorGramShared(static_cast<int>(i)));
+      term *= tracers[i].Trace(*w.FactorGram(j, static_cast<int>(i)));
     }
     total += term;
   }
@@ -188,12 +190,11 @@ double UnionKronStrategy::L2Sensitivity() const {
   // norm gives max_j ||col_j||^2 <= sum_k max_j ||col_j of part k||^2. An
   // upper bound — sound to calibrate against, exact when the parts attain
   // their maxima in the same column (e.g. uniform-column-norm blocks).
-  double sq = 0.0;
-  for (const auto& factors : parts_) {
-    const double part = KronL2Sensitivity(factors);
-    sq += part * part;
+  std::vector<double> part(parts_.size());
+  for (size_t g = 0; g < parts_.size(); ++g) {
+    part[g] = KronL2Sensitivity(parts_[g]);
   }
-  return std::sqrt(sq);
+  return L2Norm(part.data(), static_cast<int64_t>(part.size()));
 }
 
 Vector UnionKronStrategy::Apply(const Vector& x) const {
@@ -229,11 +230,10 @@ double UnionKronStrategy::SquaredError(const UnionWorkload& w) const {
   for (size_t g = 0; g < parts_.size(); ++g) {
     for (int j : group_products_[g]) {
       HDMM_CHECK(j >= 0 && j < w.NumProducts());
-      const ProductWorkload& prod = w.products()[static_cast<size_t>(j)];
-      double term = prod.weight * prod.weight;
+      const double weight = w.products()[static_cast<size_t>(j)].weight;
+      double term = weight * weight;
       for (size_t i = 0; i < tracers[g].size(); ++i) {
-        term *= tracers[g][i].Trace(
-            *prod.FactorGramShared(static_cast<int>(i)));
+        term *= tracers[g][i].Trace(*w.FactorGram(j, static_cast<int>(i)));
       }
       total += term;
     }
@@ -292,9 +292,7 @@ double MarginalsStrategy::L2Sensitivity() const {
   // One record lands in exactly one cell of every active marginal, with
   // coefficient theta_a — every column of M(theta) has norm
   // sqrt(sum_a theta_a^2) exactly.
-  double sq = 0.0;
-  for (double t : theta_) sq += t * t;
-  return std::sqrt(sq);
+  return L2Norm(theta_.data(), static_cast<int64_t>(theta_.size()));
 }
 
 Vector MarginalsStrategy::Apply(const Vector& x) const {

@@ -11,15 +11,18 @@ namespace {
 // by callers that check support, or a stale disk file to be overwritten), so
 // a cryptographic hash is not needed.
 
-uint64_t HashProduct(const ProductWorkload& p) {
+// A product's weight and its factors' content keys. A key already covers
+// the factor's shape and bit-exact entries (-0.0 canonicalized), and the
+// workload hashes each factor once, so a plan's fingerprint, its OPT_x Gram
+// pools and its candidates' errors share one read of every entry.
+uint64_t HashProduct(const UnionWorkload& w, int j) {
+  const ProductWorkload& p = w.products()[static_cast<size_t>(j)];
   WordHasher h;
   h.U64(0x70726f64);  // "prod" domain separator.
   h.F64(p.weight);
   h.I64(static_cast<int64_t>(p.factors.size()));
-  for (const Matrix& f : p.factors) {
-    h.I64(f.rows());
-    h.I64(f.cols());
-    for (int64_t i = 0; i < f.size(); ++i) h.F64(f.data()[i]);
+  for (int i = 0; i < static_cast<int>(p.factors.size()); ++i) {
+    h.U64(w.FactorKey(j, i));
   }
   return h.Digest();
 }
@@ -54,9 +57,10 @@ std::string Fingerprint::Hex() const {
 
 Fingerprint FingerprintWorkload(const UnionWorkload& w) {
   WordHasher h;
-  // Format tag "hdmmw2": bumped with the hash itself, so a disk cache
-  // written under "hdmmw1" is re-planned once instead of misread.
-  h.U64(0x68646d6d77320000ULL);
+  // Format tag "hdmmw3": bumped with the hash itself (hdmmw2 hashed factor
+  // entries directly, hdmmw3 their content keys), so a disk cache written
+  // under an older tag is re-planned once instead of misread.
+  h.U64(0x68646d6d77330000ULL);
   // Domain shape only: attribute names are labels, not math — renaming an
   // attribute must not force a re-optimization.
   h.I32(w.domain().NumAttributes());
@@ -65,7 +69,7 @@ Fingerprint FingerprintWorkload(const UnionWorkload& w) {
   // W_1 + W_2 and W_2 + W_1 are the same stacked workload up to a row
   // permutation, and expected error is row-permutation invariant.
   uint64_t products = 0;
-  for (const ProductWorkload& p : w.products()) products += HashProduct(p);
+  for (int j = 0; j < w.NumProducts(); ++j) products += HashProduct(w, j);
   h.U64(products);
   h.I32(w.NumProducts());
   return Fingerprint{h.Digest()};

@@ -33,7 +33,8 @@ struct Fingerprint {
 };
 
 /// Hash of the workload alone: attribute sizes plus an order-insensitive
-/// combination of the product terms (weight + factor entries, bit-exact).
+/// combination of the product terms (weight + each factor's content key,
+/// UnionWorkload::FactorKey, which is bit-exact in the entries).
 /// Reordering the products of a union never changes the fingerprint;
 /// changing any weight, factor entry, or the domain always does.
 Fingerprint FingerprintWorkload(const UnionWorkload& w);

@@ -2,11 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/check.h"
 #include "core/gram_cache.h"
 
 namespace hdmm {
+
+struct UnionWorkload::KeyTable {
+  struct Slot {
+    std::once_flag once;
+    uint64_t key = 0;
+  };
+  explicit KeyTable(size_t n) : slots(n) {}
+  std::vector<Slot> slots;
+};
 
 int64_t ProductWorkload::NumQueries() const {
   int64_t q = 1;
@@ -26,14 +36,6 @@ Matrix ProductWorkload::Explicit() const {
   return m;
 }
 
-Matrix ProductWorkload::FactorGram(int i) const {
-  return *FactorGramShared(i);
-}
-
-std::shared_ptr<const Matrix> ProductWorkload::FactorGramShared(int i) const {
-  return GramCache::Global().FactorGram(factors[static_cast<size_t>(i)]);
-}
-
 int64_t ProductWorkload::ImplicitStorageDoubles() const {
   int64_t s = 0;
   for (const Matrix& f : factors) s += f.size();
@@ -48,6 +50,29 @@ void UnionWorkload::AddProduct(ProductWorkload p) {
                    "factor width does not match attribute domain");
   }
   products_.push_back(std::move(p));
+  // Keys stay lazy: parsing never pays for them.
+  keys_ = std::make_shared<KeyTable>(
+      products_.size() * static_cast<size_t>(domain_.NumAttributes()));
+}
+
+uint64_t UnionWorkload::FactorKey(int j, int i) const {
+  HDMM_CHECK(j >= 0 && j < NumProducts() && i >= 0 &&
+             i < domain_.NumAttributes());
+  KeyTable::Slot& slot =
+      keys_->slots[static_cast<size_t>(j) *
+                       static_cast<size_t>(domain_.NumAttributes()) +
+                   static_cast<size_t>(i)];
+  std::call_once(slot.once, [&] {
+    slot.key = GramCache::FactorKey(
+        products_[static_cast<size_t>(j)].factors[static_cast<size_t>(i)]);
+  });
+  return slot.key;
+}
+
+std::shared_ptr<const Matrix> UnionWorkload::FactorGram(int j, int i) const {
+  const uint64_t key = FactorKey(j, i);  // Checks j and i.
+  return GramCache::Global().FactorGramWithKey(
+      products_[static_cast<size_t>(j)].factors[static_cast<size_t>(i)], key);
 }
 
 int64_t UnionWorkload::TotalQueries() const {

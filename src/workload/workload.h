@@ -4,6 +4,7 @@
 #ifndef HDMM_WORKLOAD_WORKLOAD_H_
 #define HDMM_WORKLOAD_WORKLOAD_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -30,15 +31,6 @@ struct ProductWorkload {
   /// Explicit (small-domain) expansion: weight * (W_1 x ... x W_d).
   Matrix Explicit() const;
 
-  /// Gram matrix of factor i: W_i^T W_i. Served from the process-wide
-  /// GramCache (content-keyed, closed-form aware), so repeated calls across
-  /// restarts and plan invocations do not recompute the SYRK; this overload
-  /// copies the cached Gram into the returned value.
-  Matrix FactorGram(int i) const;
-
-  /// Copy-free variant: the shared immutable cached Gram of factor i.
-  std::shared_ptr<const Matrix> FactorGramShared(int i) const;
-
   /// Number of doubles stored by the implicit representation.
   int64_t ImplicitStorageDoubles() const;
 };
@@ -50,11 +42,24 @@ class UnionWorkload {
   explicit UnionWorkload(Domain domain) : domain_(std::move(domain)) {}
 
   /// Appends a product term; its factor column counts must match the domain.
+  /// Starts a new, empty factor-key table (see FactorKey).
   void AddProduct(ProductWorkload p);
 
   const Domain& domain() const { return domain_; }
   const std::vector<ProductWorkload>& products() const { return products_; }
   int NumProducts() const { return static_cast<int>(products_.size()); }
+
+  /// Content key of factor i of product j: GramCache::FactorKey of that
+  /// factor. Hashed once per workload, lazily and thread-safely on first
+  /// use, so parsing never pays for it. Copies share one key table
+  /// (products never change once added); AddProduct starts a new one.
+  uint64_t FactorKey(int j, int i) const;
+
+  /// Gram W_i^T W_i of factor i of product j, shared from the process-wide
+  /// GramCache (content-keyed, closed-form aware) under FactorKey(j, i), so
+  /// repeated calls across restarts and plans neither recompute the SYRK
+  /// nor rehash the factor.
+  std::shared_ptr<const Matrix> FactorGram(int j, int i) const;
 
   /// Total number of predicate counting queries across all products.
   int64_t TotalQueries() const;
@@ -89,8 +94,13 @@ class UnionWorkload {
   double Sensitivity() const;
 
  private:
+  struct KeyTable;
+
   Domain domain_;
   std::vector<ProductWorkload> products_;
+  /// FactorKey's lazily filled table, one slot per (product, attribute);
+  /// null until the first AddProduct.
+  std::shared_ptr<KeyTable> keys_;
 };
 
 /// Builds a single-product union. Convenience used all over the benches.

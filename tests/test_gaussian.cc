@@ -1,11 +1,15 @@
 #include "core/gaussian.h"
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/strategy.h"
+#include "core/strategy_io.h"
 #include "linalg/kron.h"
 #include "workload/building_blocks.h"
 
@@ -16,6 +20,58 @@ TEST(Gaussian, L2SensitivityExplicit) {
   Matrix a = Matrix::FromRows({{3.0, 0.0}, {4.0, 1.0}});
   // Column 0: sqrt(9 + 16) = 5; column 1: 1.
   EXPECT_DOUBLE_EQ(L2Sensitivity(a), 5.0);
+}
+
+TEST(Gaussian, L2SensitivityFiniteWhereL1IsForEveryRepresentation) {
+  // Squares of 1e300 overflow a double. L2 must still be finite, positive
+  // and at most L1 wherever L1 is finite, or MeasureGaussian aborts on a
+  // strategy Laplace can measure.
+  const Matrix column = Matrix::FromRows({{1e300}, {1e300}});
+  ExplicitStrategy expl(column);
+  KronStrategy kron({column, IdentityBlock(2)});
+  UnionKronStrategy union_kron({{Matrix::FromRows({{1e300, 1e300}})},
+                                {Matrix::FromRows({{1e300, -1e300}})}},
+                               {{0}, {1}});
+  MarginalsStrategy marginals(Domain({2, 3}),
+                              Vector{1e300, 1e300, 1e300, 1e300});
+  for (const Strategy* s : std::vector<const Strategy*>{
+           &expl, &kron, &union_kron, &marginals}) {
+    const double l1 = s->Sensitivity();
+    const double l2 = s->L2Sensitivity();
+    ASSERT_TRUE(std::isfinite(l1)) << s->Name();
+    EXPECT_TRUE(std::isfinite(l2)) << s->Name() << " L2 " << l2;
+    EXPECT_GT(l2, 0.0) << s->Name();
+    EXPECT_LE(l2, l1) << s->Name();
+  }
+  EXPECT_DOUBLE_EQ(expl.L2Sensitivity(), std::sqrt(2.0) * 1e300);
+  EXPECT_DOUBLE_EQ(kron.L2Sensitivity(), std::sqrt(2.0) * 1e300);
+  EXPECT_DOUBLE_EQ(union_kron.L2Sensitivity(), std::sqrt(2.0) * 1e300);
+  EXPECT_DOUBLE_EQ(marginals.L2Sensitivity(), 2e300);
+}
+
+TEST(Gaussian, L2SensitivityPositiveWhereSquaresUnderflow) {
+  // The mirror case: squares of 1e-200 underflow to zero, and a zero L2
+  // sensitivity aborts MeasureGaussian just as an infinite one does.
+  ExplicitStrategy tiny(Matrix::FromRows({{1e-200}, {1e-200}}));
+  EXPECT_DOUBLE_EQ(tiny.L2Sensitivity(), std::sqrt(2.0) * 1e-200);
+  const double v[] = {3e-170, 0.0, -4e-170};
+  EXPECT_DOUBLE_EQ(L2Norm(v, 3), 5e-170);
+  EXPECT_EQ(L2Norm(v + 1, 1), 0.0);
+}
+
+TEST(Gaussian, HugeEntryStrategyFileMeasuresUnderZCdp) {
+  // ParseStrategy accepts this file (its L1 sensitivity, 2e300, is finite),
+  // so it must measure under zCDP too: no L2 overflow to inf, no abort.
+  std::string error;
+  std::unique_ptr<Strategy> s = ParseStrategy(
+      "hdmm-strategy v1\nkind explicit\nname huge\nmatrix 2x1 1e300,1e300\n",
+      &error);
+  ASSERT_NE(s, nullptr) << error;
+  EXPECT_DOUBLE_EQ(s->Sensitivity(), 2e300);
+  Rng rng(5);
+  const Vector y = s->MeasureGaussian({1.0}, 0.5, &rng);
+  ASSERT_EQ(y.size(), 2u);
+  for (double v : y) EXPECT_TRUE(std::isfinite(v)) << v;
 }
 
 TEST(Gaussian, KronL2SensitivityMatchesExplicit) {

@@ -118,16 +118,15 @@ TEST(GramCache, ClearKeepsOutstandingGramsValid) {
 }
 
 TEST(GramCache, FactorGramThroughWorkload) {
-  // ProductWorkload::FactorGram consults the global cache and must agree
+  // UnionWorkload::FactorGram consults the global cache and must agree
   // with the direct SYRK.
   Domain d({5, 3});
   UnionWorkload w = MakeProductWorkload(d, {PrefixBlock(5), IdentityBlock(3)});
-  const ProductWorkload& p = w.products()[0];
-  EXPECT_LT(p.FactorGram(0).MaxAbsDiff(PrefixGram(5)), 1e-12);
-  EXPECT_LT(p.FactorGram(1).MaxAbsDiff(Matrix::Identity(3)), 1e-12);
-  // The shared variant hands out the cached object itself.
-  auto shared_a = p.FactorGramShared(0);
-  auto shared_b = p.FactorGramShared(0);
+  EXPECT_LT(w.FactorGram(0, 0)->MaxAbsDiff(PrefixGram(5)), 1e-12);
+  EXPECT_LT(w.FactorGram(0, 1)->MaxAbsDiff(Matrix::Identity(3)), 1e-12);
+  // It hands out the cached object itself.
+  auto shared_a = w.FactorGram(0, 0);
+  auto shared_b = w.FactorGram(0, 0);
   EXPECT_EQ(shared_a.get(), shared_b.get());
 }
 

@@ -1,6 +1,7 @@
 #include "core/opt0.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -75,6 +76,33 @@ TEST(Opt0, WarmStartImproves) {
   double before = obj.Eval(flat, nullptr);
   Opt0Result res = Opt0WarmStart(g, theta0, LbfgsbOptions());
   EXPECT_LE(res.error, before);
+}
+
+TEST(Opt0, ErrorIsTheReferenceEvaluation) {
+  // Opt0 scores its restarts by the dense reference evaluation, which
+  // Opt0WarmStart does not compute, so the returned error is exactly
+  // EvalReference of the returned Theta.
+  const Matrix g = AllRangeGram(24);
+  Rng rng(6);
+  Opt0Options opts;
+  opts.restarts = 3;
+  const Opt0Result res = Opt0(g, opts, &rng);
+  const double reference = PIdentityObjective::EvalReference(res.theta, g);
+  EXPECT_EQ(std::memcmp(&res.error, &reference, sizeof(double)), 0)
+      << res.error << " vs " << reference;
+}
+
+TEST(Opt0, WarmStartReportsTheOptimizerObjective) {
+  // Opt0WarmStart's error is L-BFGS-B's own objective value at its Theta:
+  // the fast-path objective, not a second (dense) evaluation.
+  const int64_t n = 16;
+  const Matrix g = PrefixGram(n);
+  Rng rng(8);
+  const Matrix theta0 = Matrix::RandomUniform(2, n, &rng, 0.0, 1.0);
+  const Opt0Result res = Opt0WarmStart(g, theta0, LbfgsbOptions());
+  PIdentityObjective obj(g, 2);
+  const Vector flat(res.theta.data(), res.theta.data() + res.theta.size());
+  EXPECT_EQ(res.error, obj.Eval(flat, nullptr));
 }
 
 TEST(Opt0, DefaultPConvention) {

@@ -1,5 +1,7 @@
 #include "core/opt_kron.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "core/strategy.h"
@@ -138,8 +140,47 @@ TEST(OptKron, AttributeDefaultPConvention) {
   ProductWorkload p;
   p.factors = {PrefixBlock(64), IdentityBlock(32)};
   w.AddProduct(p);
-  EXPECT_EQ(AttributeDefaultP(w, 0), 4);  // 64/16.
-  EXPECT_EQ(AttributeDefaultP(w, 1), 1);  // Identity is simple.
+  EXPECT_EQ(AttributeDefaultP(w, {0}, 0), 4);  // 64/16.
+  EXPECT_EQ(AttributeDefaultP(w, {0}, 1), 1);  // Identity is simple.
+}
+
+TEST(OptKron, GroupIndicesMatchCopiedSubWorkload) {
+  // OPT_+ runs OPT_x over a group's product indices in the parent workload.
+  // That must be the same computation, bit for bit, as OPT_x over a
+  // workload holding copies of just those products, in the listed order.
+  Domain d({16, 8, 4});
+  UnionWorkload w(d);
+  auto add = [&w](std::vector<Matrix> factors, double weight) {
+    ProductWorkload p;
+    p.factors = std::move(factors);
+    p.weight = weight;
+    w.AddProduct(std::move(p));
+  };
+  add({PrefixBlock(16), TotalBlock(8), IdentityBlock(4)}, 1.0);
+  add({TotalBlock(16), AllRangeBlock(8), TotalBlock(4)}, 2.0);
+  add({AllRangeBlock(16), IdentityBlock(8), TotalBlock(4)}, 0.5);
+  add({PrefixBlock(16), TotalBlock(8), PrefixBlock(4)}, 3.0);
+  const std::vector<int> group = {3, 0, 2};
+  UnionWorkload sub(d);
+  for (int j : group) sub.AddProduct(w.products()[static_cast<size_t>(j)]);
+
+  Rng rng_indices(21), rng_copy(21);
+  OptKronResult by_index = OptKron(w, group, OptKronOptions(), &rng_indices);
+  OptKronResult by_copy = OptKron(sub, OptKronOptions(), &rng_copy);
+  ASSERT_EQ(by_index.thetas.size(), by_copy.thetas.size());
+  for (size_t i = 0; i < by_index.thetas.size(); ++i) {
+    const Matrix& a = by_index.thetas[i];
+    const Matrix& b = by_copy.thetas[i];
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          static_cast<size_t>(a.size()) * sizeof(double)),
+              0)
+        << "attribute " << i;
+  }
+  EXPECT_EQ(std::memcmp(&by_index.error, &by_copy.error, sizeof(double)), 0);
+  // Both runs read their streams identically.
+  EXPECT_EQ(rng_indices.Uniform(0.0, 1.0), rng_copy.Uniform(0.0, 1.0));
 }
 
 }  // namespace

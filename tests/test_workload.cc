@@ -1,8 +1,14 @@
 #include "workload/workload.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "core/gram_cache.h"
 #include "workload/building_blocks.h"
 #include "workload/impvec.h"
 
@@ -159,6 +165,122 @@ TEST(Workload, AbsColumnSumsMatchExplicit) {
   Vector ref = w.Explicit().AbsColSums();
   ASSERT_EQ(sums.size(), ref.size());
   for (size_t i = 0; i < sums.size(); ++i) EXPECT_NEAR(sums[i], ref[i], 1e-12);
+}
+
+// --- Factor keys -------------------------------------------------------------
+
+// Factors hashed so far in this process (GramCache::FactorKey calls).
+uint64_t FactorKeysHashed() {
+  return Metrics::GetCounter("workload.factor_keys")->Value();
+}
+
+TEST(WorkloadKeys, EachKeyIsTheGramCacheKeyOfItsFactor) {
+  const UnionWorkload w = TwoProductWorkload();
+  for (int j = 0; j < w.NumProducts(); ++j) {
+    for (int i = 0; i < w.domain().NumAttributes(); ++i) {
+      EXPECT_EQ(w.FactorKey(j, i),
+                GramCache::FactorKey(w.products()[static_cast<size_t>(j)]
+                                         .factors[static_cast<size_t>(i)]))
+          << "product " << j << " attribute " << i;
+    }
+  }
+}
+
+TEST(WorkloadKeys, CopiesShareKeysAndAddProductStartsFresh) {
+  const UnionWorkload w = TwoProductWorkload();
+  const int d = w.domain().NumAttributes();
+  auto all_keys = [d](const UnionWorkload& u) {
+    std::vector<uint64_t> keys;
+    for (int j = 0; j < u.NumProducts(); ++j) {
+      for (int i = 0; i < d; ++i) keys.push_back(u.FactorKey(j, i));
+    }
+    return keys;
+  };
+  uint64_t hashed = FactorKeysHashed();
+  const std::vector<uint64_t> keys = all_keys(w);
+  EXPECT_EQ(FactorKeysHashed() - hashed, 4u);  // 2 products x 2 attributes.
+  hashed = FactorKeysHashed();
+  EXPECT_EQ(all_keys(w), keys);
+  EXPECT_EQ(FactorKeysHashed(), hashed) << "a key was hashed twice";
+
+  // A copy reads the original's table.
+  UnionWorkload copy = w;
+  EXPECT_EQ(all_keys(copy), keys);
+  EXPECT_EQ(FactorKeysHashed(), hashed) << "a copy rehashed its factors";
+
+  // Growing the copy gives it a fresh table of its own.
+  ProductWorkload extra;
+  extra.factors = {IdentityBlock(3), PrefixBlock(4)};
+  copy.AddProduct(extra);
+  const std::vector<uint64_t> grown = all_keys(copy);
+  EXPECT_EQ(FactorKeysHashed() - hashed, 6u);  // 3 products x 2 attributes.
+  EXPECT_EQ(std::vector<uint64_t>(grown.begin(), grown.begin() + 4), keys);
+  EXPECT_EQ(grown[4], GramCache::FactorKey(IdentityBlock(3)));
+  EXPECT_EQ(grown[5], GramCache::FactorKey(PrefixBlock(4)));
+
+  // The original keeps its own, already filled, table.
+  hashed = FactorKeysHashed();
+  EXPECT_EQ(all_keys(w), keys);
+  EXPECT_EQ(FactorKeysHashed(), hashed);
+}
+
+// A four-product workload over three attributes whose products share some
+// factors (the common shape of parsed unions).
+UnionWorkload SharedFactorWorkload() {
+  Domain d({24, 12, 6});
+  UnionWorkload w(d);
+  auto add = [&w](std::vector<Matrix> factors) {
+    ProductWorkload p;
+    p.factors = std::move(factors);
+    w.AddProduct(std::move(p));
+  };
+  add({PrefixBlock(24), TotalBlock(12), IdentityBlock(6)});
+  add({AllRangeBlock(24), IdentityBlock(12), TotalBlock(6)});
+  add({PrefixBlock(24), WidthRangeBlock(12, 3), PrefixBlock(6)});
+  add({TotalBlock(24), IdentityBlock(12), IdentityBlock(6)});
+  return w;
+}
+
+TEST(ParallelFactorKeys, ConcurrentFirstUseHashesEachFactorOnce) {
+  // Restart jobs of one plan ask for the keys and Grams of the same fresh
+  // workload at once: each factor must be hashed exactly once, and every
+  // thread must see the same keys and Gram values.
+  const UnionWorkload w = SharedFactorWorkload();
+  const int k = w.NumProducts();
+  const int d = w.domain().NumAttributes();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<uint64_t>> keys(kThreads);
+  std::vector<std::vector<std::shared_ptr<const Matrix>>> grams(kThreads);
+  std::atomic<int> waiting{kThreads};
+  const uint64_t hashed = FactorKeysHashed();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) {
+      }
+      // Each thread walks the factors from a different starting point.
+      for (int s = 0; s < k * d; ++s) {
+        const int f = (s + t * 5) % (k * d);
+        keys[static_cast<size_t>(t)].push_back(w.FactorKey(f / d, f % d));
+        grams[static_cast<size_t>(t)].push_back(w.FactorGram(f / d, f % d));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(FactorKeysHashed() - hashed, static_cast<uint64_t>(k * d));
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (int s = 0; s < k * d; ++s) {
+      const int f = (s + static_cast<int>(t) * 5) % (k * d);
+      const Matrix& factor = w.products()[static_cast<size_t>(f / d)]
+                                 .factors[static_cast<size_t>(f % d)];
+      EXPECT_EQ(keys[t][static_cast<size_t>(s)], GramCache::FactorKey(factor));
+      EXPECT_EQ(grams[t][static_cast<size_t>(s)]->MaxAbsDiff(
+                    *w.FactorGram(f / d, f % d)),
+                0.0);
+    }
+  }
 }
 
 }  // namespace
