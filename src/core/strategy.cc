@@ -126,7 +126,7 @@ Vector KronStrategy::Reconstruct(const Vector& y) const {
 const std::vector<PinvGramTracer>& KronStrategy::FactorTracers() const {
   std::call_once(tracers_once_, [this] {
     tracers_.reserve(factors_.size());
-    for (const Matrix& f : factors_) tracers_.emplace_back(Gram(f));
+    for (const Matrix& f : factors_) tracers_.emplace_back(f);
   });
   return tracers_;
 }
@@ -212,7 +212,7 @@ UnionKronStrategy::PartTracers() const {
     part_tracers_.resize(parts_.size());
     for (size_t g = 0; g < parts_.size(); ++g) {
       part_tracers_[g].reserve(parts_[g].size());
-      for (const Matrix& f : parts_[g]) part_tracers_[g].emplace_back(Gram(f));
+      for (const Matrix& f : parts_[g]) part_tracers_[g].emplace_back(f);
     }
   });
   return part_tracers_;

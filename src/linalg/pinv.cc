@@ -73,13 +73,19 @@ double TracePinvGram(const Matrix& gram_a, const Matrix& gram_w) {
   return tr;
 }
 
-PinvGramTracer::PinvGramTracer(const Matrix& gram_a) {
-  HDMM_CHECK(gram_a.rows() == gram_a.cols());
+PinvGramTracer::PinvGramTracer(const Matrix& factor) {
+  if (factor.rows() < factor.cols()) {
+    // (A^T A)^+ = A^+ (A^+)^T.
+    GramOuterInto(PseudoInverse(factor), &inv_);
+    return;
+  }
+  Matrix gram;
+  GramInto(factor, &gram);
   Matrix l;
-  if (CholeskyFactor(gram_a, &l)) {
-    CholeskySolveMatrixInto(l, Matrix::Identity(gram_a.rows()), &inv_);
+  if (CholeskyFactor(gram, &l)) {
+    CholeskySolveMatrixInto(l, Matrix::Identity(gram.rows()), &inv_);
   } else {
-    inv_ = PsdPseudoInverse(gram_a);
+    inv_ = PsdPseudoInverse(gram);
   }
 }
 

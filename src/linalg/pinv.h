@@ -23,16 +23,21 @@ Matrix PseudoInverse(const Matrix& a);
 /// when A^T A is singular.
 double TracePinvGram(const Matrix& gram_a, const Matrix& gram_w);
 
-/// Precomputed form of TracePinvGram for a fixed strategy Gram: the inverse
-/// (or PSD pseudo-inverse, when singular) is materialized once, and each
-/// Trace against a workload Gram is the symmetric elementwise dot
-/// tr[(A^T A)^+ G] = sum_ij (A^T A)^+_ij G_ij — no factorization, no solve,
-/// and no allocation per call. This is what lets strategy error evaluation
-/// run allocation-free over repeated workloads (the optimizer's restart
-/// grid evaluates the same factor Grams against every candidate).
+/// Precomputed form of TracePinvGram for a fixed strategy factor A:
+/// (A^T A)^+ is materialized once, and each Trace against a workload Gram is
+/// the symmetric elementwise dot tr[(A^T A)^+ G] = sum_ij (A^T A)^+_ij G_ij —
+/// no factorization, no solve, and no allocation per call. This is what lets
+/// strategy error evaluation run allocation-free over repeated workloads
+/// (the optimizer's restart grid evaluates the same factors against every
+/// candidate).
 class PinvGramTracer {
  public:
-  explicit PinvGramTracer(const Matrix& gram_a);
+  /// With rows >= cols, inverts A^T A by Cholesky (PSD pseudo-inverse when
+  /// singular). A wide factor (rows < cols) has a singular Gram by
+  /// construction, yet its Cholesky can succeed on a pivot that rounding
+  /// left tiny and positive (e.g. lambda^2 * 11^T); its (A^T A)^+ is built
+  /// as A^+ A^+T from PseudoInverse's rows x rows branch instead.
+  explicit PinvGramTracer(const Matrix& factor);
   double Trace(const Matrix& gram_w) const;
   int64_t rows() const { return inv_.rows(); }
 

@@ -107,6 +107,24 @@ TEST(Pinv, GeneralPinvPenroseConditions) {
   }
 }
 
+TEST(Pinv, TracerMatchesExplicitForTallAndWideFactors) {
+  // PinvGramTracer(A).Trace(W^T W) = ||W A^+||_F^2 for tall, square and wide
+  // factors, including a scaled all-ones row whose Gram is singular.
+  Rng rng(12);
+  Matrix scaled_total = Matrix::Ones(1, 9);
+  scaled_total.ScaleInPlace(0.37);
+  std::vector<Matrix> factors = {Matrix::RandomUniform(12, 6, &rng, -1.0, 1.0),
+                                 Matrix::RandomUniform(6, 6, &rng, -1.0, 1.0),
+                                 Matrix::RandomUniform(3, 8, &rng, -1.0, 1.0),
+                                 scaled_total};
+  for (const Matrix& a : factors) {
+    Matrix w = Matrix::RandomUniform(5, a.cols(), &rng, -1.0, 1.0);
+    const double want = MatMul(w, PseudoInverse(a)).FrobeniusNormSquared();
+    const double got = PinvGramTracer(a).Trace(Gram(w));
+    EXPECT_NEAR(got, want, 1e-9 * want) << a.rows() << "x" << a.cols();
+  }
+}
+
 TEST(Pinv, TracePinvGramMatchesExplicit) {
   Rng rng(11);
   Matrix a = Matrix::RandomUniform(12, 6, &rng, -1.0, 1.0);

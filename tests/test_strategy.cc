@@ -1,5 +1,10 @@
 #include "core/strategy.h"
 
+#include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/error.h"
@@ -40,6 +45,53 @@ TEST(ExplicitStrategy, ReconstructIsPinv) {
   Vector xhat = strat.Reconstruct(y);
   Vector ref = MatVec(PseudoInverse(a), y);
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(xhat[i], ref[i], 1e-9);
+}
+
+// Sweeps the wide factor lambda * 1^T, n in {2, 3, 5, 7, 16, 64, 115} and
+// 200 lambdas in (0.02, 2.75], against the workload `a=total`. Its exact
+// error is 1 for every lambda: the sensitivity is lambda and
+// W A^+ = 1^T 1 / (lambda n) = 1 / lambda. The Gram lambda^2 * 11^T is
+// singular, but its Cholesky can succeed on a pivot that rounding left
+// positive; an inverse built from that pivot is garbage. Returns the cases
+// off by more than 1e-9, as readable lines.
+template <typename MakeStrategy>
+std::vector<std::string> WrongScaledTotalErrors(MakeStrategy make) {
+  std::vector<std::string> wrong;
+  for (int64_t n : {2, 3, 5, 7, 16, 64, 115}) {
+    const UnionWorkload w = MakeProductWorkload(Domain({n}), {TotalBlock(n)});
+    for (int k = 1; k <= 200; ++k) {
+      const double lambda = 0.02 + 2.73 * static_cast<double>(k) / 200.0;
+      Matrix factor = TotalBlock(n);
+      factor.ScaleInPlace(lambda);
+      const double err = make(std::move(factor))->SquaredError(w);
+      if (!(std::fabs(err - 1.0) <= 1e-9)) {
+        wrong.push_back("n=" + std::to_string(n) +
+                        " lambda=" + std::to_string(lambda) +
+                        ": error " + std::to_string(err));
+      }
+    }
+  }
+  return wrong;
+}
+
+TEST(KronStrategy, ScaledWideTotalFactorErrorIsExact) {
+  const std::vector<std::string> wrong = WrongScaledTotalErrors([](Matrix f) {
+    return std::make_unique<KronStrategy>(std::vector<Matrix>{std::move(f)});
+  });
+  EXPECT_TRUE(wrong.empty()) << wrong.size() << " of 1400 wrong, e.g. "
+                             << wrong.front();
+}
+
+TEST(UnionKronStrategy, ScaledWideTotalFactorErrorIsExact) {
+  // One part answering the one product: the same error as the Kron form.
+  const std::vector<std::string> wrong = WrongScaledTotalErrors([](Matrix f) {
+    std::vector<std::vector<Matrix>> parts(1);
+    parts[0].push_back(std::move(f));
+    return std::make_unique<UnionKronStrategy>(
+        std::move(parts), std::vector<std::vector<int>>{{0}});
+  });
+  EXPECT_TRUE(wrong.empty()) << wrong.size() << " of 1400 wrong, e.g. "
+                             << wrong.front();
 }
 
 TEST(KronStrategy, MatchesExplicitEquivalent) {
