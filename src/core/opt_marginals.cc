@@ -55,31 +55,20 @@ Vector MarginalsAlgebra::WorkloadTraceVector(const UnionWorkload& w) const {
   HDMM_CHECK(w.domain().NumAttributes() == d_);
   const uint32_t masks = num_masks();
   Vector tau(masks, 0.0);
-  for (const ProductWorkload& prod : w.products()) {
+  std::vector<const FactorStats*> stats(static_cast<size_t>(d_));
+  for (int j = 0; j < w.NumProducts(); ++j) {
     // Per-attribute trace and sum of the factor Gram matrices. tr(1 G) is
     // the sum of all entries of G; tr(I G) is the trace. Neither needs the
     // n x n Gram materialized: tr(F^T F) = ||F||_F^2 and
-    // sum(F^T F) = 1^T F^T F 1 = ||F 1||^2, both O(rows x cols) row scans.
-    std::vector<double> tr(static_cast<size_t>(d_)),
-        sm(static_cast<size_t>(d_));
-    for (int i = 0; i < d_; ++i) {
-      const Matrix& f = prod.factors[static_cast<size_t>(i)];
-      tr[static_cast<size_t>(i)] = f.FrobeniusNormSquared();
-      double row_sum_sq = 0.0;
-      for (int64_t r = 0; r < f.rows(); ++r) {
-        const double* row = f.Row(r);
-        double rs = 0.0;
-        for (int64_t c = 0; c < f.cols(); ++c) rs += row[c];
-        row_sum_sq += rs * rs;
-      }
-      sm[static_cast<size_t>(i)] = row_sum_sq;
-    }
-    const double w2 = prod.weight * prod.weight;
+    // sum(F^T F) = 1^T F^T F 1 = ||F 1||^2, both per-workload constants.
+    for (int i = 0; i < d_; ++i) stats[static_cast<size_t>(i)] = &w.Stats(j, i);
+    const double weight = w.products()[static_cast<size_t>(j)].weight;
+    const double w2 = weight * weight;
     for (uint32_t a = 0; a < masks; ++a) {
       double term = w2;
       for (int i = 0; i < d_; ++i) {
-        term *= ((a >> i) & 1u) ? tr[static_cast<size_t>(i)]
-                                : sm[static_cast<size_t>(i)];
+        const FactorStats& s = *stats[static_cast<size_t>(i)];
+        term *= ((a >> i) & 1u) ? s.frobenius_sq : s.row_sum_sq;
       }
       tau[a] += term;
     }

@@ -8,19 +8,6 @@
 #include "common/check.h"
 
 namespace hdmm {
-namespace {
-
-// True if every row of the factor is the all-ones row (a Total block).
-bool IsTotalLike(const Matrix& f) {
-  for (int64_t i = 0; i < f.rows(); ++i) {
-    for (int64_t j = 0; j < f.cols(); ++j) {
-      if (f(i, j) != 1.0) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 std::vector<std::vector<int>> PartitionBySignature(const UnionWorkload& w,
                                                    int max_groups) {
@@ -29,10 +16,8 @@ std::vector<std::vector<int>> PartitionBySignature(const UnionWorkload& w,
   std::map<uint32_t, std::vector<int>> by_signature;
   for (int j = 0; j < w.NumProducts(); ++j) {
     uint32_t sig = 0;
-    const ProductWorkload& prod = w.products()[static_cast<size_t>(j)];
     for (int i = 0; i < d; ++i) {
-      if (!IsTotalLike(prod.factors[static_cast<size_t>(i)]))
-        sig |= (1u << i);
+      if (!w.Stats(j, i).total_like) sig |= (1u << i);
     }
     by_signature[sig].push_back(j);
   }

@@ -9,14 +9,36 @@
 
 namespace hdmm {
 
-struct UnionWorkload::KeyTable {
+struct UnionWorkload::FactorTable {
   struct Slot {
-    std::once_flag once;
+    std::once_flag key_once;
     uint64_t key = 0;
+    std::once_flag stats_once;
+    FactorStats stats;
   };
-  explicit KeyTable(size_t n) : slots(n) {}
+  explicit FactorTable(size_t n) : slots(n) {}
   std::vector<Slot> slots;
 };
+
+namespace {
+
+FactorStats ComputeFactorStats(const Matrix& f) {
+  FactorStats stats;
+  stats.frobenius_sq = f.FrobeniusNormSquared();
+  stats.total_like = true;
+  for (int64_t r = 0; r < f.rows(); ++r) {
+    const double* row = f.Row(r);
+    double rs = 0.0;
+    for (int64_t c = 0; c < f.cols(); ++c) {
+      rs += row[c];
+      if (row[c] != 1.0) stats.total_like = false;
+    }
+    stats.row_sum_sq += rs * rs;
+  }
+  return stats;
+}
+
+}  // namespace
 
 int64_t ProductWorkload::NumQueries() const {
   int64_t q = 1;
@@ -50,23 +72,34 @@ void UnionWorkload::AddProduct(ProductWorkload p) {
                    "factor width does not match attribute domain");
   }
   products_.push_back(std::move(p));
-  // Keys stay lazy: parsing never pays for them.
-  keys_ = std::make_shared<KeyTable>(
+  // Keys and statistics stay lazy: parsing never pays for them.
+  factor_table_ = std::make_shared<FactorTable>(
       products_.size() * static_cast<size_t>(domain_.NumAttributes()));
 }
 
-uint64_t UnionWorkload::FactorKey(int j, int i) const {
+size_t UnionWorkload::SlotIndex(int j, int i) const {
   HDMM_CHECK(j >= 0 && j < NumProducts() && i >= 0 &&
              i < domain_.NumAttributes());
-  KeyTable::Slot& slot =
-      keys_->slots[static_cast<size_t>(j) *
-                       static_cast<size_t>(domain_.NumAttributes()) +
-                   static_cast<size_t>(i)];
-  std::call_once(slot.once, [&] {
+  return static_cast<size_t>(j) * static_cast<size_t>(domain_.NumAttributes()) +
+         static_cast<size_t>(i);
+}
+
+uint64_t UnionWorkload::FactorKey(int j, int i) const {
+  FactorTable::Slot& slot = factor_table_->slots[SlotIndex(j, i)];
+  std::call_once(slot.key_once, [&] {
     slot.key = GramCache::FactorKey(
         products_[static_cast<size_t>(j)].factors[static_cast<size_t>(i)]);
   });
   return slot.key;
+}
+
+const FactorStats& UnionWorkload::Stats(int j, int i) const {
+  FactorTable::Slot& slot = factor_table_->slots[SlotIndex(j, i)];
+  std::call_once(slot.stats_once, [&] {
+    slot.stats = ComputeFactorStats(
+        products_[static_cast<size_t>(j)].factors[static_cast<size_t>(i)]);
+  });
+  return slot.stats;
 }
 
 std::shared_ptr<const Matrix> UnionWorkload::FactorGram(int j, int i) const {

@@ -35,6 +35,14 @@ struct ProductWorkload {
   int64_t ImplicitStorageDoubles() const;
 };
 
+/// Statistics of one workload factor F, all read in one pass over it.
+struct FactorStats {
+  double frobenius_sq = 0.0;  ///< ||F||_F^2 = tr(F^T F).
+  double row_sum_sq = 0.0;    ///< ||F 1||^2 = 1^T F^T F 1.
+  /// Every entry is 1: each row asks the Total query, F^T F = rows * 11^T.
+  bool total_like = false;
+};
+
 /// A weighted union of products W = w_1 W_1 + ... + w_k W_k (stacking).
 class UnionWorkload {
  public:
@@ -42,7 +50,7 @@ class UnionWorkload {
   explicit UnionWorkload(Domain domain) : domain_(std::move(domain)) {}
 
   /// Appends a product term; its factor column counts must match the domain.
-  /// Starts a new, empty factor-key table (see FactorKey).
+  /// Starts a new, empty factor table (see FactorKey and Stats).
   void AddProduct(ProductWorkload p);
 
   const Domain& domain() const { return domain_; }
@@ -54,6 +62,12 @@ class UnionWorkload {
   /// use, so parsing never pays for it. Copies share one key table
   /// (products never change once added); AddProduct starts a new one.
   uint64_t FactorKey(int j, int i) const;
+
+  /// Statistics of factor i of product j, computed once per workload in the
+  /// same way as FactorKey (lazily, thread-safely, shared by copies, reset
+  /// by AddProduct). OPT_+'s signature groups, OPT_x's Total-only attributes
+  /// and the marginals trace vector read them.
+  const FactorStats& Stats(int j, int i) const;
 
   /// Gram W_i^T W_i of factor i of product j, shared from the process-wide
   /// GramCache (content-keyed, closed-form aware) under FactorKey(j, i), so
@@ -94,13 +108,15 @@ class UnionWorkload {
   double Sensitivity() const;
 
  private:
-  struct KeyTable;
+  struct FactorTable;
+  /// Index of factor i of product j in the factor table (checks j and i).
+  size_t SlotIndex(int j, int i) const;
 
   Domain domain_;
   std::vector<ProductWorkload> products_;
-  /// FactorKey's lazily filled table, one slot per (product, attribute);
-  /// null until the first AddProduct.
-  std::shared_ptr<KeyTable> keys_;
+  /// FactorKey's and Stats' lazily filled table, one slot per (product,
+  /// attribute); null until the first AddProduct.
+  std::shared_ptr<FactorTable> factor_table_;
 };
 
 /// Builds a single-product union. Convenience used all over the benches.

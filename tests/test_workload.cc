@@ -186,6 +186,48 @@ TEST(WorkloadKeys, EachKeyIsTheGramCacheKeyOfItsFactor) {
   }
 }
 
+TEST(WorkloadKeys, StatsAreEachFactorsNormsAndTotalFlag) {
+  // Total-like means every entry is 1, however many rows: a two-row
+  // all-ones factor is Total-like, a ones row with one 2 is not.
+  Domain d({4, 5});
+  UnionWorkload w(d);
+  Matrix two_totals = Matrix::Ones(2, 4);
+  Matrix almost_total = Matrix::Ones(1, 5);
+  almost_total(0, 3) = 2.0;
+  const std::vector<std::vector<Matrix>> factors = {
+      {TotalBlock(4), PrefixBlock(5)},
+      {two_totals, IdentityBlock(5)},
+      {IdentityBlock(4), almost_total}};
+  const std::vector<std::vector<bool>> total_like = {
+      {true, false}, {true, false}, {false, false}};
+  for (const std::vector<Matrix>& f : factors) {
+    ProductWorkload p;
+    p.factors = f;
+    w.AddProduct(std::move(p));
+  }
+  for (int j = 0; j < w.NumProducts(); ++j) {
+    for (int i = 0; i < 2; ++i) {
+      const Matrix& f =
+          factors[static_cast<size_t>(j)][static_cast<size_t>(i)];
+      // ||F 1||^2 is the sum of the Gram's entries: exact for 0/1 factors.
+      double gram_sum = 0.0;
+      const Matrix g = Gram(f);
+      for (int64_t k = 0; k < g.size(); ++k) gram_sum += g.data()[k];
+      const FactorStats& stats = w.Stats(j, i);
+      EXPECT_EQ(stats.frobenius_sq, f.FrobeniusNormSquared())
+          << "product " << j << " attribute " << i;
+      EXPECT_EQ(stats.row_sum_sq, gram_sum)
+          << "product " << j << " attribute " << i;
+      EXPECT_EQ(stats.total_like,
+                total_like[static_cast<size_t>(j)][static_cast<size_t>(i)])
+          << "product " << j << " attribute " << i;
+    }
+  }
+  // Two all-ones rows over 4 columns: ||F||_F^2 = 8, ||F 1||^2 = 2 * 16.
+  EXPECT_EQ(w.Stats(1, 0).frobenius_sq, 8.0);
+  EXPECT_EQ(w.Stats(1, 0).row_sum_sq, 32.0);
+}
+
 TEST(WorkloadKeys, CopiesShareKeysAndAddProductStartsFresh) {
   const UnionWorkload w = TwoProductWorkload();
   const int d = w.domain().NumAttributes();
@@ -222,6 +264,22 @@ TEST(WorkloadKeys, CopiesShareKeysAndAddProductStartsFresh) {
   hashed = FactorKeysHashed();
   EXPECT_EQ(all_keys(w), keys);
   EXPECT_EQ(FactorKeysHashed(), hashed);
+
+  // Factor statistics live in the same table: a copy reads the original's
+  // entries (the very same objects), and the grown copy's entries are its
+  // own, with equal values.
+  const UnionWorkload twin = w;
+  for (int j = 0; j < w.NumProducts(); ++j) {
+    for (int i = 0; i < d; ++i) {
+      EXPECT_EQ(&twin.Stats(j, i), &w.Stats(j, i));
+      EXPECT_NE(&copy.Stats(j, i), &w.Stats(j, i));
+      EXPECT_EQ(copy.Stats(j, i).frobenius_sq, w.Stats(j, i).frobenius_sq);
+      EXPECT_EQ(copy.Stats(j, i).row_sum_sq, w.Stats(j, i).row_sum_sq);
+      EXPECT_EQ(copy.Stats(j, i).total_like, w.Stats(j, i).total_like);
+    }
+  }
+  EXPECT_FALSE(copy.Stats(2, 0).total_like);
+  EXPECT_TRUE(copy.Stats(0, 1).total_like);
 }
 
 // A four-product workload over three attributes whose products share some
