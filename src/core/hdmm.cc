@@ -96,22 +96,12 @@ HdmmResult OptimizeStrategy(const UnionWorkload& w,
           if (job.op == kKron) {
             OptKronResult res = OptKron(w, kron_opts, &job.rng);
             job.strategy = std::make_unique<KronStrategy>(
-                KronStrategyFactors(res), "opt-kron");
+                std::move(res.factors), "opt-kron");
           } else if (job.op == kUnion) {
             OptUnionResult res = OptUnion(w, union_opts, &job.rng);
-            std::vector<std::vector<Matrix>> parts;
-            for (size_t g = 0; g < res.group_thetas.size(); ++g) {
-              OptKronResult tmp;
-              tmp.thetas = res.group_thetas[g];
-              std::vector<Matrix> factors = KronStrategyFactors(tmp);
-              // Fold the group's budget fraction into the strategy: scaling
-              // one factor by lambda_g makes the stacked sensitivity sum to
-              // 1 and the closed-form error match OptUnion's bookkeeping.
-              factors[0].ScaleInPlace(res.budget_split[g]);
-              parts.push_back(std::move(factors));
-            }
             job.strategy = std::make_unique<UnionKronStrategy>(
-                std::move(parts), res.group_products, "opt-union");
+                std::move(res.group_factors), std::move(res.group_products),
+                "opt-union");
           } else {
             OptMarginalsResult res = OptMarginals(w, marginals_opts,
                                                   &job.rng);

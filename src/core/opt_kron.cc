@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "workload/building_blocks.h"
 
 namespace hdmm {
 
@@ -40,6 +41,16 @@ OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
         .weight;
   };
 
+  // Total-only attributes take 1^T in closed form (see opt_kron.h).
+  std::vector<bool> total_only(static_cast<size_t>(d), true);
+  int optimized = 0;  // Attributes OPT_0 runs on.
+  for (int i = 0; i < d; ++i) {
+    for (int j : products) {
+      if (!w.Stats(j, i).total_like) total_only[static_cast<size_t>(i)] = false;
+    }
+    if (!total_only[static_cast<size_t>(i)]) ++optimized;
+  }
+
   // Per-product, per-attribute Gram matrices (Section 6.2 notes (W^T W)_i^(j)
   // can be precomputed), deduplicated on the workload's factor keys:
   // products that share an identical factor for attribute i (the common case
@@ -49,12 +60,18 @@ OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
   // GramCache, so they also survive across optimizer calls (serve-mode plans
   // re-planning similar workloads pay nothing).
   // unique_grams[i][u] is the Gram pool for attribute i; gram_id[j][i] maps
-  // listed product j into it.
+  // listed product j into it. A Total-only attribute needs no Gram: its
+  // trace against 1^T is fixed per product, so gram_id[j][i] = j there.
   std::vector<std::vector<std::shared_ptr<const Matrix>>> unique_grams(
       static_cast<size_t>(d));
   std::vector<std::vector<int>> gram_id(static_cast<size_t>(k),
                                         std::vector<int>(static_cast<size_t>(d)));
   for (int i = 0; i < d; ++i) {
+    if (total_only[static_cast<size_t>(i)]) {
+      for (int j = 0; j < k; ++j)
+        gram_id[static_cast<size_t>(j)][static_cast<size_t>(i)] = j;
+      continue;
+    }
     std::unordered_map<uint64_t, int> by_key;  // factor key -> pool index
     for (int j = 0; j < k; ++j) {
       const int product = products[static_cast<size_t>(j)];
@@ -83,8 +100,7 @@ OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
   // from `rng` itself so that plans stay bit-identical to those of builds
   // whose OPT_x ran its own restarts (restart 0 drew from Fork(0)).
   Rng stream = rng->Fork(0);
-  OptKronResult out;
-  std::vector<Matrix>& thetas = out.thetas;
+  std::vector<Matrix> thetas;
   thetas.reserve(static_cast<size_t>(d));
   for (int i = 0; i < d; ++i) {
     thetas.push_back(Matrix::RandomUniform(p[static_cast<size_t>(i)],
@@ -102,7 +118,17 @@ OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
       tu[static_cast<size_t>(i)][u] = PIdentityObjective::TraceWithGram(
           thetas[static_cast<size_t>(i)], *pool[u]);
   };
-  for (int i = 0; i < d; ++i) refresh_traces(i);
+  for (int i = 0; i < d; ++i) {
+    if (!total_only[static_cast<size_t>(i)]) {
+      refresh_traces(i);
+      continue;
+    }
+    // tr[(11^T)^+ F^T F] = 1^T F^T F 1 / n^2 = ||F 1||^2 / n^2: the row
+    // count r of an all-ones F.
+    const double n = static_cast<double>(w.domain().AttributeSize(i));
+    for (int j : products)
+      tu[static_cast<size_t>(i)].push_back(w.Stats(j, i).row_sum_sq / (n * n));
+  }
   auto t = [&](int j, int i) {
     return tu[static_cast<size_t>(i)][static_cast<size_t>(
         gram_id[static_cast<size_t>(j)][static_cast<size_t>(i)])];
@@ -121,10 +147,12 @@ OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
   double err = total_error();
   // Block-cyclic optimization (Problem 3). With k == 1 the surrogate is
   // just a rescaled G_i, so one pass reduces to independent OPT_0 calls
-  // (Definition 10).
-  const int cycles = (d == 1) ? 1 : options.max_cycles;
+  // (Definition 10). With one optimized attribute its surrogate never
+  // changes, so one pass is exact too.
+  const int cycles = (optimized <= 1) ? 1 : options.max_cycles;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     for (int i = 0; i < d; ++i) {
+      if (total_only[static_cast<size_t>(i)]) continue;
       // Surrogate Gram: \hat{G}_i = sum_j c_j^2 G_i^(j) with
       // c_j = w_j prod_{i' != i} ||W_i'^(j) A_i'^+||_F (Equation 6).
       // Coefficients of products sharing a Gram are merged first so each
@@ -156,16 +184,16 @@ OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
     }
     err = new_err;
   }
+  OptKronResult out;
+  out.factors.reserve(static_cast<size_t>(d));
+  for (int i = 0; i < d; ++i) {
+    out.factors.push_back(
+        total_only[static_cast<size_t>(i)]
+            ? TotalBlock(w.domain().AttributeSize(i))
+            : PIdentityObjective::BuildStrategy(thetas[static_cast<size_t>(i)]));
+  }
   out.error = err;
   return out;
-}
-
-std::vector<Matrix> KronStrategyFactors(const OptKronResult& result) {
-  std::vector<Matrix> factors;
-  factors.reserve(result.thetas.size());
-  for (const Matrix& theta : result.thetas)
-    factors.push_back(PIdentityObjective::BuildStrategy(theta));
-  return factors;
 }
 
 }  // namespace hdmm

@@ -23,9 +23,11 @@ struct OptKronOptions {
   LbfgsbOptions lbfgs;
 };
 
-/// Result of OPT_x: one p_i-Identity parameter block per attribute.
+/// Result of OPT_x: one strategy factor per attribute.
 struct OptKronResult {
-  std::vector<Matrix> thetas;
+  /// A_i = A(Theta_i), the p_i-Identity strategy OPT_0 found for attribute
+  /// i, or the Total block 1^T on a Total-only attribute.
+  std::vector<Matrix> factors;
   /// sum_j w_j^2 prod_i ||W_i^(j) A_i^+||_F^2 — the Theorem 6 objective for
   /// the sensitivity-1 product strategy A = A_1 x ... x A_d.
   double error = 0.0;
@@ -34,6 +36,13 @@ struct OptKronResult {
 /// Runs OPT_x on a (union of) product workload: one block-cyclic run from
 /// Theta_i ~ U[0, 0.5) drawn from rng->Fork(0). Random restarts are the
 /// caller's (OptimizeStrategy's grid gives each job its own stream).
+///
+/// An attribute on which every product asks only Total queries (every entry
+/// of its factors is 1) takes the factor 1^T in closed form: its Grams are
+/// r * 11^T, and 1^T meets the spectral lower bound on each product's trace
+/// (r), which no p-Identity strategy attains. It runs no OPT_0; its Theta is
+/// still drawn, so every other attribute starts where it would without the
+/// closed form.
 OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
                       Rng* rng);
 
@@ -42,10 +51,6 @@ OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
 /// this way, reading the parent workload's factors and factor keys in place.
 OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
                       const OptKronOptions& options, Rng* rng);
-
-/// Builds the explicit per-attribute strategy factors A_i(Theta_i) from an
-/// OPT_x result.
-std::vector<Matrix> KronStrategyFactors(const OptKronResult& result);
 
 /// The Section 7.1 p-convention for attribute i over the listed products of
 /// a union workload.

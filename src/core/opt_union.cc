@@ -62,7 +62,7 @@ OptUnionResult OptUnion(const UnionWorkload& w, const OptUnionOptions& options,
   for (const std::vector<int>& group : groups) {
     OptKronResult res = OptKron(w, group, options.kron, rng);
     group_errors.push_back(res.error);
-    out.group_thetas.push_back(std::move(res.thetas));
+    out.group_factors.push_back(std::move(res.factors));
   }
 
   if (options.optimize_budget_split) {
@@ -73,10 +73,13 @@ OptUnionResult OptUnion(const UnionWorkload& w, const OptUnionOptions& options,
   }
   // Total error under the split: each group's measurements get a
   // lambda_g-fraction of the budget, inflating its error by 1/lambda_g^2.
+  // Scaling one factor of the group by lambda_g gives its strategy exactly
+  // that share, and the strategy's closed-form error matches this sum.
   double total = 0.0;
   for (size_t g = 0; g < group_errors.size(); ++g) {
     double lam = std::max(1e-12, out.budget_split[g]);
     total += group_errors[g] / (lam * lam);
+    out.group_factors[g][0].ScaleInPlace(out.budget_split[g]);
   }
   out.error = total;
   return out;

@@ -26,7 +26,10 @@ struct OptUnionOptions {
 
 /// Result of OPT_+.
 struct OptUnionResult {
-  std::vector<std::vector<Matrix>> group_thetas;  ///< Per group, per attr.
+  /// Per group, per attribute: the OPT_x strategy factors of the group
+  /// (A(Theta) or 1^T), with the group's budget share lambda_g folded into
+  /// its first factor so that the stacked sensitivity sums to 1.
+  std::vector<std::vector<Matrix>> group_factors;
   std::vector<std::vector<int>> group_products;   ///< Product indices.
   std::vector<double> budget_split;               ///< lambda_g, sums to 1.
   /// Total error under the chosen budget split (even or optimized):

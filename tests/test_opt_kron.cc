@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "core/strategy.h"
 #include "linalg/pinv.h"
 #include "workload/building_blocks.h"
+#include "workload/parser.h"
 
 namespace hdmm {
 namespace {
@@ -67,12 +69,12 @@ TEST(OptKron, SingleProductMatchesPerAttributeOpt0) {
   opts.p = {2, 2};
   Rng rng(3);
   OptKronResult res = OptKron(w, opts, &rng);
-  ASSERT_EQ(res.thetas.size(), 2u);
+  ASSERT_EQ(res.factors.size(), 2u);
   // The reported error matches the product of per-factor traces.
   double prod = 1.0;
   for (int i = 0; i < 2; ++i) {
-    prod *= PIdentityObjective::TraceWithGram(res.thetas[static_cast<size_t>(i)],
-                                              PrefixGram(n));
+    prod *= PinvGramTracer(res.factors[static_cast<size_t>(i)])
+                .Trace(PrefixGram(n));
   }
   EXPECT_NEAR(res.error, prod, 1e-6 * prod);
 }
@@ -106,7 +108,7 @@ TEST(OptKron, ReportedErrorMatchesStrategyError) {
   opts.max_cycles = 4;
   Rng rng(5);
   OptKronResult res = OptKron(w, opts, &rng);
-  KronStrategy strat(KronStrategyFactors(res));
+  KronStrategy strat(res.factors);
   EXPECT_NEAR(strat.Sensitivity(), 1.0, 1e-10);
   EXPECT_NEAR(strat.SquaredError(w), res.error, 1e-5 * res.error);
 }
@@ -132,6 +134,46 @@ TEST(OptKron, CyclesImproveUnions) {
   double e1 = OptKron(w, one_cycle, &rng1).error;
   double e8 = OptKron(w, many, &rng2).error;
   EXPECT_LE(e8, e1 + 1e-9);
+}
+
+TEST(OptKron, TotalOnlyAttributeTakesTheTotalFactor) {
+  // Attribute b is Total in every product: it takes 1^T without running
+  // OPT_0, and attribute a's run is exactly OPT_x on attribute a alone (its
+  // start is drawn first from the same stream, and b's trace is 1).
+  const UnionWorkload w = ParseWorkloadOrDie(
+      "domain a=16 b=8\n"
+      "product a=prefix b=total\n"
+      "product a=identity b=total\n");
+  const UnionWorkload alone = ParseWorkloadOrDie(
+      "domain a=16\n"
+      "product a=prefix\n"
+      "product a=identity\n");
+  Counter* const evals = Metrics::GetCounter("optimizer.evals");
+  Rng rng(8), rng_alone(8);
+  uint64_t before = evals->Value();
+  const OptKronResult res = OptKron(w, OptKronOptions(), &rng);
+  const uint64_t used = evals->Value() - before;
+  before = evals->Value();
+  const OptKronResult res_alone = OptKron(alone, OptKronOptions(), &rng_alone);
+  const uint64_t used_alone = evals->Value() - before;
+
+  ASSERT_EQ(res.factors.size(), 2u);
+  const Matrix total = TotalBlock(8);
+  ASSERT_EQ(res.factors[1].rows(), total.rows());
+  ASSERT_EQ(res.factors[1].cols(), total.cols());
+  EXPECT_EQ(std::memcmp(res.factors[1].data(), total.data(),
+                        static_cast<size_t>(total.size()) * sizeof(double)),
+            0);
+  const double strategy_error = KronStrategy(res.factors).SquaredError(w);
+  EXPECT_NEAR(res.error, strategy_error, 1e-12 * strategy_error);
+  EXPECT_GT(used_alone, 0u);
+  EXPECT_EQ(used, used_alone);
+  const Matrix& a = res.factors[0];
+  const Matrix& a_alone = res_alone.factors[0];
+  ASSERT_EQ(a.rows(), a_alone.rows());
+  EXPECT_EQ(std::memcmp(a.data(), a_alone.data(),
+                        static_cast<size_t>(a.size()) * sizeof(double)),
+            0);
 }
 
 TEST(OptKron, AttributeDefaultPConvention) {
@@ -167,10 +209,10 @@ TEST(OptKron, GroupIndicesMatchCopiedSubWorkload) {
   Rng rng_indices(21), rng_copy(21);
   OptKronResult by_index = OptKron(w, group, OptKronOptions(), &rng_indices);
   OptKronResult by_copy = OptKron(sub, OptKronOptions(), &rng_copy);
-  ASSERT_EQ(by_index.thetas.size(), by_copy.thetas.size());
-  for (size_t i = 0; i < by_index.thetas.size(); ++i) {
-    const Matrix& a = by_index.thetas[i];
-    const Matrix& b = by_copy.thetas[i];
+  ASSERT_EQ(by_index.factors.size(), by_copy.factors.size());
+  for (size_t i = 0; i < by_index.factors.size(); ++i) {
+    const Matrix& a = by_index.factors[i];
+    const Matrix& b = by_copy.factors[i];
     ASSERT_EQ(a.rows(), b.rows());
     ASSERT_EQ(a.cols(), b.cols());
     EXPECT_EQ(std::memcmp(a.data(), b.data(),

@@ -9,6 +9,7 @@
 // (oversubscription).
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -117,10 +118,10 @@ TEST(PlannerDeterminism, OptKronThreadCountInvariant) {
   for (int threads : {4, 16}) {
     OptKronResult wide = WithRestartThreads(threads, run);
     EXPECT_TRUE(BitIdentical(narrow.error, wide.error)) << threads;
-    ASSERT_EQ(narrow.thetas.size(), wide.thetas.size());
-    for (size_t i = 0; i < narrow.thetas.size(); ++i)
-      EXPECT_TRUE(BitIdentical(narrow.thetas[i], wide.thetas[i]))
-          << threads << " threads, theta " << i;
+    ASSERT_EQ(narrow.factors.size(), wide.factors.size());
+    for (size_t i = 0; i < narrow.factors.size(); ++i)
+      EXPECT_TRUE(BitIdentical(narrow.factors[i], wide.factors[i]))
+          << threads << " threads, factor " << i;
   }
 }
 
@@ -150,22 +151,36 @@ TEST(PlannerDeterminism, OptMarginalsThreadCountInvariant) {
 }
 
 TEST(PlannerDeterminism, OptimizeStrategyThreadCountInvariant) {
-  UnionWorkload w = SmallCensus();
-  HdmmOptions options;
-  options.restarts = 2;
-  options.seed = 99;
-  auto run = [&] { return OptimizeStrategy(w, options); };
-  HdmmResult narrow = WithRestartThreads(1, run);
-  for (int threads : {4, 16}) {
-    HdmmResult wide = WithRestartThreads(threads, run);
-    EXPECT_EQ(narrow.chosen_operator, wide.chosen_operator) << threads;
-    EXPECT_TRUE(BitIdentical(narrow.squared_error, wide.squared_error))
-        << threads;
-    // The strategies themselves must match bit-for-bit, not just their
-    // errors: compare through the canonical serialization.
-    EXPECT_EQ(SerializeStrategy(*narrow.strategy),
-              SerializeStrategy(*wide.strategy))
-        << threads;
+  // The last two workloads have a Total-only attribute (c): the first
+  // selects an OPT_x plan whose factor on c is 1^T, the second an OPT_+
+  // plan with a first factor lambda * 1^T.
+  const std::vector<UnionWorkload> workloads = {
+      SmallCensus(),
+      ParseWorkloadOrDie("domain a=32 b=8 c=2\n"
+                         "product a=prefix b=identity\n"
+                         "product a=identity b=prefix\n"),
+      ParseWorkloadOrDie("domain a=32 b=8 c=2\n"
+                         "product a=prefix\n"
+                         "product weight=0.5 b=prefix\n")};
+  for (size_t k = 0; k < workloads.size(); ++k) {
+    const UnionWorkload& w = workloads[k];
+    HdmmOptions options;
+    options.restarts = 2;
+    options.seed = 99;
+    auto run = [&] { return OptimizeStrategy(w, options); };
+    HdmmResult narrow = WithRestartThreads(1, run);
+    for (int threads : {4, 16}) {
+      HdmmResult wide = WithRestartThreads(threads, run);
+      EXPECT_EQ(narrow.chosen_operator, wide.chosen_operator)
+          << "workload " << k << ", " << threads << " threads";
+      EXPECT_TRUE(BitIdentical(narrow.squared_error, wide.squared_error))
+          << "workload " << k << ", " << threads << " threads";
+      // The strategies themselves must match bit-for-bit, not just their
+      // errors: compare through the canonical serialization.
+      EXPECT_EQ(SerializeStrategy(*narrow.strategy),
+                SerializeStrategy(*wide.strategy))
+          << "workload " << k << ", " << threads << " threads";
+    }
   }
 }
 

@@ -23,13 +23,17 @@
 
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "core/diagnostics.h"
 #include "core/strategy.h"
+#include "core/strategy_io.h"
 #include "engine/engine.h"
 #include "engine/privacy.h"
 #include "crash_harness.h"
 #include "linalg/pinv.h"
+#include "workload/building_blocks.h"
 #include "workload/domain.h"
 #include "workload/marginals.h"
+#include "workload/parser.h"
 
 namespace hdmm {
 namespace {
@@ -447,6 +451,87 @@ TEST_F(TileStoreTest, MarginalsSessionLazyPathBitIdenticalAcrossBackends) {
             0);
   ExpectCoveredAnswersMatchTableSums(offset_memory, queries,
                                      offset_memory_answers);
+}
+
+TEST_F(TileStoreTest, TotalFactorPlansAnswerBitIdenticalAcrossBackends) {
+  // Plans with wide factors, measured through Engine::MeasureOr: OPT_x
+  // gives the Total-only attribute c the factor 1^T, and OPT_+ gives the
+  // group that asks only Total on a the first factor lambda * 1^T (its
+  // budget share folded in). Each plan supports its workload, and a memory
+  // and an mmap engine drawing the same noise answer every box alike, bit
+  // for bit.
+  struct Case {
+    const char* spec;
+    const char* tag;
+  };
+  const std::vector<Case> cases = {
+      {"domain a=32 b=8 c=2\n"
+       "product a=prefix b=identity\n"
+       "product a=identity b=prefix\n",
+       "kron"},
+      {"domain a=32 b=8 c=2\n"
+       "product a=prefix\n"
+       "product weight=0.5 b=prefix\n",
+       "union"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.tag);
+    const UnionWorkload w = ParseWorkloadOrDie(c.spec);
+    const Domain& d = w.domain();
+    EngineOptions options;
+    options.optimizer.restarts = 2;
+    options.optimizer.seed = 99;
+    EngineOptions mmap_options = options;
+    mmap_options.session_storage =
+        MmapStorage(FreshDir(std::string("parity_total_") + c.tag),
+                    /*tile_bytes=*/7 * 8);
+    Engine memory_engine(options);
+    Engine mmap_engine(mmap_options);
+    const Vector x = Ramp(d.TotalSize());
+    Rng memory_rng(31), mmap_rng(31);
+    auto memory_session = memory_engine.MeasureOr(
+        w, "d", x, MeasureRequest::Laplace(1.0), &memory_rng);
+    auto mmap_session = mmap_engine.MeasureOr(
+        w, "d", x, MeasureRequest::Laplace(1.0), &mmap_rng);
+    ASSERT_TRUE(memory_session.ok()) << memory_session.status().ToString();
+    ASSERT_TRUE(mmap_session.ok()) << mmap_session.status().ToString();
+
+    const Strategy& strategy = *memory_session.value()->strategy();
+    EXPECT_EQ(SerializeStrategy(strategy),
+              SerializeStrategy(*mmap_session.value()->strategy()));
+    EXPECT_TRUE(SupportsWorkload(strategy, w));
+    if (std::string(c.tag) == "kron") {
+      const auto* kron = dynamic_cast<const KronStrategy*>(&strategy);
+      ASSERT_NE(kron, nullptr) << strategy.Name();
+      EXPECT_EQ(kron->factors()[2].MaxAbsDiff(TotalBlock(2)), 0.0);
+    } else {
+      const auto* union_kron =
+          dynamic_cast<const UnionKronStrategy*>(&strategy);
+      ASSERT_NE(union_kron, nullptr) << strategy.Name();
+      int scaled_totals = 0;
+      for (const std::vector<Matrix>& part : union_kron->parts()) {
+        const Matrix& first = part[0];
+        const double lambda = first(0, 0);
+        Matrix scaled = TotalBlock(first.cols());
+        scaled.ScaleInPlace(lambda);
+        if (first.rows() == 1 && lambda > 0.0 && lambda < 1.0 &&
+            first.MaxAbsDiff(scaled) == 0.0) {
+          ++scaled_totals;
+        }
+      }
+      EXPECT_EQ(scaled_totals, 1);
+    }
+
+    const std::vector<BoxQuery> queries = AllBoxQueries(d);
+    StatusOr<Vector> from_memory =
+        memory_session.value()->AnswerBatchOr(queries, nullptr);
+    StatusOr<Vector> from_mmap =
+        mmap_session.value()->AnswerBatchOr(queries, nullptr);
+    ASSERT_TRUE(from_memory.ok() && from_mmap.ok());
+    ASSERT_EQ(from_memory.value().size(), from_mmap.value().size());
+    EXPECT_EQ(std::memcmp(from_memory.value().data(), from_mmap.value().data(),
+                          from_memory.value().size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST_F(TileStoreTest, XHatReferenceSurvivesHibernation) {
