@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "core/gaussian.h"
 #include "core/svd_bound.h"
+#include "linalg/gemm.h"
 #include "linalg/kron.h"
 #include "linalg/pinv.h"
 #include "linalg/svd.h"
@@ -35,10 +36,27 @@ void SpectralSummary(const Matrix& a, double rcond, int64_t* rank,
 bool SupportsWorkloadExplicit(const Matrix& w, const Matrix& a, double tol) {
   HDMM_CHECK(w.cols() == a.cols());
   // W A^+ A == W <=> residual of projecting each workload row onto
-  // rowspace(A) vanishes.
-  Matrix pinv = PseudoInverse(a);
-  Matrix projected = MatMul(MatMul(w, pinv), a);
-  return projected.MaxAbsDiff(w) <= tol;
+  // rowspace(A) vanishes. The rows go through the cols x cols projector
+  // A^+ A a block at a time, so no product as tall as W is held: an
+  // AllRange(115) factor has 6,670 rows.
+  const Matrix projector = MatMul(PseudoInverse(a), a);
+  const int64_t n = w.cols();
+  constexpr int64_t kBlockRows = 256;
+  Matrix projected;
+  double residual = 0.0;
+  for (int64_t r0 = 0; r0 < w.rows(); r0 += kBlockRows) {
+    const int64_t rows = std::min(kBlockRows, w.rows() - r0);
+    projected.ResizeZeroed(rows, n);
+    GemmViewUpdate(rows, n, n, 1.0, w.Row(r0), n, false, projector.data(), n,
+                   false, projected.data(), n, /*lower_only=*/false);
+    for (int64_t i = 0; i < rows; ++i) {
+      const double* got = projected.Row(i);
+      const double* want = w.Row(r0 + i);
+      for (int64_t j = 0; j < n; ++j)
+        residual = std::max(residual, std::fabs(got[j] - want[j]));
+    }
+  }
+  return residual <= tol;
 }
 
 bool SupportsWorkload(const Strategy& strategy, const UnionWorkload& w,

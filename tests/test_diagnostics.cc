@@ -18,6 +18,17 @@ TEST(Diagnostics, ExplicitSupportBasics) {
   EXPECT_FALSE(SupportsWorkloadExplicit(prefix, TotalBlock(6)));
   // Prefix is square full rank, so it supports identity (and everything).
   EXPECT_TRUE(SupportsWorkloadExplicit(IdentityBlock(6), prefix));
+  // Tall workloads are projected a block of rows at a time: AllRange(40)
+  // has 820 rows, and a lone unsupported row in the last, partial block
+  // must still be seen. A scaled Total (a wide strategy factor) supports
+  // every Total row.
+  EXPECT_TRUE(SupportsWorkloadExplicit(AllRangeBlock(40), IdentityBlock(40)));
+  Matrix scaled_total = TotalBlock(40);
+  scaled_total.ScaleInPlace(0.3);
+  Matrix totals_then_point = Matrix::Ones(820, 40);
+  EXPECT_TRUE(SupportsWorkloadExplicit(totals_then_point, scaled_total));
+  for (int64_t j = 1; j < 40; ++j) totals_then_point(819, j) = 0.0;
+  EXPECT_FALSE(SupportsWorkloadExplicit(totals_then_point, scaled_total));
 }
 
 TEST(Diagnostics, RankDeficientStrategyRejectsRicherWorkload) {
