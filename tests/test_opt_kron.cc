@@ -174,6 +174,24 @@ TEST(OptKron, TotalOnlyAttributeTakesTheTotalFactor) {
   EXPECT_EQ(std::memcmp(a.data(), a_alone.data(),
                         static_cast<size_t>(a.size()) * sizeof(double)),
             0);
+
+  // With every attribute Total-only nothing is optimized: the error is
+  // sum_j w_j^2 prod_i r_ij (here 3^2 * 2 + 1), from no OPT_0 evaluation.
+  UnionWorkload totals(Domain({5, 3}));
+  ProductWorkload two_rows;
+  two_rows.factors = {Matrix::Ones(2, 5), TotalBlock(3)};
+  two_rows.weight = 3.0;
+  totals.AddProduct(two_rows);
+  totals.AddProduct({{TotalBlock(5), TotalBlock(3)}, 1.0});
+  before = evals->Value();
+  const OptKronResult all_total = OptKron(totals, OptKronOptions(), &rng);
+  EXPECT_EQ(evals->Value() - before, 0u);
+  EXPECT_EQ(all_total.error, 19.0);
+  ASSERT_EQ(all_total.factors.size(), 2u);
+  EXPECT_EQ(all_total.factors[0].MaxAbsDiff(TotalBlock(5)), 0.0);
+  EXPECT_EQ(all_total.factors[1].MaxAbsDiff(TotalBlock(3)), 0.0);
+  EXPECT_NEAR(KronStrategy(all_total.factors).SquaredError(totals), 19.0,
+              1e-12 * 19.0);
 }
 
 TEST(OptKron, AttributeDefaultPConvention) {
