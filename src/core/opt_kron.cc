@@ -42,12 +42,12 @@ OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
   };
 
   // Total-only attributes take 1^T in closed form (see opt_kron.h).
-  std::vector<bool> total_only(static_cast<size_t>(d), true);
+  std::vector<bool> total_only(static_cast<size_t>(d));
   int optimized = 0;  // Attributes OPT_0 runs on.
   for (int i = 0; i < d; ++i) {
-    for (int j : products) {
-      if (!w.Stats(j, i).total_like) total_only[static_cast<size_t>(i)] = false;
-    }
+    total_only[static_cast<size_t>(i)] =
+        std::all_of(products.begin(), products.end(),
+                    [&](int j) { return w.Stats(j, i).total_like; });
     if (!total_only[static_cast<size_t>(i)]) ++optimized;
   }
 
