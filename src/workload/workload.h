@@ -35,7 +35,7 @@ struct ProductWorkload {
   int64_t ImplicitStorageDoubles() const;
 };
 
-/// Statistics of one workload factor F, all read in one pass over it.
+/// Statistics of one workload factor F (see UnionWorkload::Stats).
 struct FactorStats {
   double frobenius_sq = 0.0;  ///< ||F||_F^2 = tr(F^T F).
   double row_sum_sq = 0.0;    ///< ||F 1||^2 = 1^T F^T F 1.
