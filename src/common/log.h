@@ -24,18 +24,11 @@ enum class LogLevel : int {
 
 class Log {
  public:
-  /// True when `level` would be emitted under the current threshold.
+  /// True when `level` would be emitted under the threshold, which is read
+  /// from HDMM_LOG at process start.
   static bool Enabled(LogLevel level) {
     return static_cast<int>(level) <=
            threshold_.load(std::memory_order_relaxed);
-  }
-
-  /// Threshold control; initialized from HDMM_LOG at process start.
-  static void SetLevel(LogLevel level) {
-    threshold_.store(static_cast<int>(level), std::memory_order_relaxed);
-  }
-  static LogLevel Level() {
-    return static_cast<LogLevel>(threshold_.load(std::memory_order_relaxed));
   }
 
   /// printf-style emission; appends the trailing newline itself. Prefer the

@@ -1,7 +1,5 @@
 #include "core/error.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "linalg/gemm.h"
 #include "linalg/pinv.h"
@@ -15,14 +13,6 @@ double ExplicitSquaredError(const Matrix& w, const Matrix& a) {
   GramInto(a, &gram_a);
   GramInto(w, &gram_w);
   return sens * sens * TracePinvGram(gram_a, gram_w);
-}
-
-double ErrorRatio(const UnionWorkload& w, const Strategy& other,
-                  const Strategy& reference) {
-  double e_other = other.SquaredError(w);
-  double e_ref = reference.SquaredError(w);
-  HDMM_CHECK(e_ref > 0.0);
-  return std::sqrt(e_other / e_ref);
 }
 
 double EmpiricalSquaredError(const Vector& truth, const Vector& estimate) {

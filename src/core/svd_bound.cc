@@ -1,6 +1,5 @@
 #include "core/svd_bound.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -41,18 +40,6 @@ double SquaredErrorLowerBound(const UnionWorkload& w,
                               int64_t max_explicit_cells) {
   const double nuclear = WorkloadNuclearNorm(w, max_explicit_cells);
   return nuclear * nuclear / static_cast<double>(w.DomainSize());
-}
-
-double TotalSquaredErrorLowerBound(const UnionWorkload& w, double epsilon) {
-  HDMM_CHECK(epsilon > 0.0);
-  return 2.0 / (epsilon * epsilon) * SquaredErrorLowerBound(w);
-}
-
-double OptimalityRatio(const Strategy& a, const UnionWorkload& w) {
-  const double bound = SquaredErrorLowerBound(w);
-  HDMM_CHECK_MSG(bound > 0.0, "degenerate workload: zero spectral bound");
-  const double actual = a.SquaredError(w);
-  return std::sqrt(actual / bound);
 }
 
 }  // namespace hdmm

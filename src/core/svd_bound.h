@@ -7,7 +7,6 @@
 #ifndef HDMM_CORE_SVD_BOUND_H_
 #define HDMM_CORE_SVD_BOUND_H_
 
-#include "core/strategy.h"
 #include "linalg/matrix.h"
 #include "workload/workload.h"
 
@@ -37,15 +36,6 @@ double WorkloadNuclearNorm(const UnionWorkload& w,
 /// exactly what the optimality-gap bench quantifies.
 double SquaredErrorLowerBound(const UnionWorkload& w,
                               int64_t max_explicit_cells = (int64_t{1} << 24));
-
-/// Err(W, *) lower bound at budget epsilon: (2 / eps^2) * ||W||_*^2 / N.
-double TotalSquaredErrorLowerBound(const UnionWorkload& w, double epsilon);
-
-/// sqrt(actual / bound) >= 1: how far a strategy's error is from the
-/// spectral bound, on the same root-scale as the paper's error ratios.
-/// A value of 1 certifies optimality; small values bound HDMM's possible
-/// further improvement.
-double OptimalityRatio(const Strategy& a, const UnionWorkload& w);
 
 }  // namespace hdmm
 

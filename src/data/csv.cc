@@ -134,30 +134,4 @@ bool LoadCsvDataset(const std::string& path, const Domain& domain,
   return ParseCsvDataset(buffer.str(), domain, out, error);
 }
 
-std::string WriteCsvDataset(const Dataset& dataset) {
-  const Domain& domain = dataset.domain();
-  std::ostringstream out;
-  for (int a = 0; a < domain.NumAttributes(); ++a) {
-    if (a > 0) out << ",";
-    std::string name = domain.AttributeName(a);
-    if (name.empty()) name = "a" + std::to_string(a + 1);
-    out << name;
-  }
-  out << "\n";
-  const Vector x = dataset.ToDataVector();
-  for (int64_t cell = 0; cell < static_cast<int64_t>(x.size()); ++cell) {
-    const int64_t count = static_cast<int64_t>(x[static_cast<size_t>(cell)]);
-    if (count <= 0) continue;
-    const std::vector<int64_t> coords = domain.Unflatten(cell);
-    for (int64_t r = 0; r < count; ++r) {
-      for (size_t a = 0; a < coords.size(); ++a) {
-        if (a > 0) out << ",";
-        out << coords[a];
-      }
-      out << "\n";
-    }
-  }
-  return out.str();
-}
-
 }  // namespace hdmm

@@ -24,10 +24,6 @@ bool ParseCsvDataset(const std::string& text, const Domain& domain,
 bool LoadCsvDataset(const std::string& path, const Domain& domain,
                     Dataset* out, std::string* error);
 
-/// Renders a dataset as CSV in domain attribute order (inverse of
-/// ParseCsvDataset; one row per record, header included).
-std::string WriteCsvDataset(const Dataset& dataset);
-
 }  // namespace hdmm
 
 #endif  // HDMM_DATA_CSV_H_

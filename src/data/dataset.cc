@@ -1,35 +1,15 @@
 #include "data/dataset.h"
 
-#include <cmath>
-
-#include "common/check.h"
-
 namespace hdmm {
 
 void Dataset::AddRecord(const std::vector<int64_t>& coords) {
   records_.push_back(domain_.Flatten(coords));
 }
 
-void Dataset::AddRecordFlat(int64_t cell) {
-  HDMM_CHECK(cell >= 0 && cell < domain_.TotalSize());
-  records_.push_back(cell);
-}
-
 Vector Dataset::ToDataVector() const {
   Vector x(static_cast<size_t>(domain_.TotalSize()), 0.0);
   for (int64_t cell : records_) x[static_cast<size_t>(cell)] += 1.0;
   return x;
-}
-
-Dataset FromDataVector(const Domain& domain, const Vector& counts) {
-  HDMM_CHECK(static_cast<int64_t>(counts.size()) == domain.TotalSize());
-  Dataset d(domain);
-  for (size_t i = 0; i < counts.size(); ++i) {
-    int64_t c = static_cast<int64_t>(std::llround(counts[i]));
-    HDMM_CHECK(c >= 0);
-    for (int64_t k = 0; k < c; ++k) d.AddRecordFlat(static_cast<int64_t>(i));
-  }
-  return d;
 }
 
 }  // namespace hdmm

@@ -22,9 +22,6 @@ class Dataset {
   /// Adds one tuple by coordinates.
   void AddRecord(const std::vector<int64_t>& coords);
 
-  /// Adds one tuple by flattened cell index.
-  void AddRecordFlat(int64_t cell);
-
   /// The data vector x: entry t counts occurrences of tuple t (Section 3.4).
   Vector ToDataVector() const;
 
@@ -32,10 +29,6 @@ class Dataset {
   Domain domain_;
   std::vector<int64_t> records_;
 };
-
-/// Builds a Dataset holding `counts[i]` copies of cell i (for tests and for
-/// data-dependent algorithms working directly on histograms).
-Dataset FromDataVector(const Domain& domain, const Vector& counts);
 
 }  // namespace hdmm
 

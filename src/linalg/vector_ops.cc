@@ -21,12 +21,6 @@ double Norm2Squared(const Vector& a) {
   return s;
 }
 
-double NormInf(const Vector& a) {
-  double m = 0.0;
-  for (double v : a) m = std::max(m, std::fabs(v));
-  return m;
-}
-
 double Sum(const Vector& a) {
   double s = 0.0;
   for (double v : a) s += v;
@@ -54,12 +48,6 @@ Vector Sub(const Vector& a, const Vector& b) {
   Vector out(a.size());
   for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
   return out;
-}
-
-Vector ZerosVector(int64_t n) { return Vector(static_cast<size_t>(n), 0.0); }
-
-Vector ConstantVector(int64_t n, double v) {
-  return Vector(static_cast<size_t>(n), v);
 }
 
 }  // namespace hdmm

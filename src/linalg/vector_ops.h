@@ -4,7 +4,6 @@
 #ifndef HDMM_LINALG_VECTOR_OPS_H_
 #define HDMM_LINALG_VECTOR_OPS_H_
 
-#include <cstdint>
 #include <vector>
 
 namespace hdmm {
@@ -21,9 +20,6 @@ double Norm2(const Vector& a);
 /// Squared Euclidean norm.
 double Norm2Squared(const Vector& a);
 
-/// Max-absolute-entry norm.
-double NormInf(const Vector& a);
-
 /// Sum of entries.
 double Sum(const Vector& a);
 
@@ -38,12 +34,6 @@ Vector Add(const Vector& a, const Vector& b);
 
 /// Element-wise a - b.
 Vector Sub(const Vector& a, const Vector& b);
-
-/// Vector of n zeros.
-Vector ZerosVector(int64_t n);
-
-/// Vector of n copies of value v.
-Vector ConstantVector(int64_t n, double v);
 
 }  // namespace hdmm
 

@@ -30,14 +30,6 @@ Domain::Domain(std::vector<std::string> names, std::vector<int64_t> sizes)
                  "attribute sizes must be >= 1 with an int64 cell count");
 }
 
-int Domain::AttributeIndex(const std::string& name) const {
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return static_cast<int>(i);
-  }
-  HDMM_CHECK_MSG(false, "unknown attribute name");
-  return -1;
-}
-
 int64_t Domain::Flatten(const std::vector<int64_t>& coords) const {
   HDMM_CHECK(coords.size() == sizes_.size());
   int64_t idx = 0;

@@ -40,9 +40,6 @@ class Domain {
     return names_[static_cast<size_t>(i)];
   }
 
-  /// Index of the attribute with the given name; dies if absent.
-  int AttributeIndex(const std::string& name) const;
-
   /// N = |dom(R)|, the full domain size (and data-vector length).
   int64_t TotalSize() const { return cells_; }
 

@@ -37,7 +37,7 @@ struct Predicate {
 Vector VectorizePredicate(const Predicate& p, int64_t n);
 
 /// A predicate set Phi = [phi_1 ... phi_p]_A: vectorizes to a p x n matrix
-/// whose rows are the individual predicate vectors (ImpVec line 3).
+/// whose rows are the individual predicate vectors (Algorithm 1, line 3).
 Matrix VectorizePredicateSet(const std::vector<Predicate>& set, int64_t n);
 
 }  // namespace hdmm

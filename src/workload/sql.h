@@ -8,8 +8,9 @@
 // Examples 2 and 3: per-attribute WHERE predicates become singleton
 // predicate-set blocks, GROUP BY attributes become Identity blocks (one
 // query per group), and unmentioned attributes default to Total. A script of
-// semicolon-separated statements becomes a UnionWorkload — the logical form
-// that ImpVec / OPT_HDMM consume.
+// semicolon-separated statements becomes a UnionWorkload, the implicit form
+// that OPT_HDMM consumes. This is the library's vectorizer of conjunctive
+// counting queries (the paper's Algorithm 1 for that query class).
 //
 // Supported predicate grammar (conjunctions only, per the paper's query
 // class; disjunctions require the attribute-merging transformation of

@@ -85,29 +85,6 @@ TEST(Csv, ErrorsAreLineNumbered) {
   EXPECT_NE(error.find("line 3"), std::string::npos) << error;
 }
 
-TEST(Csv, WriteParseRoundTrip) {
-  Dataset d(MiniDomain());
-  d.AddRecord({0, 3});
-  d.AddRecord({1, 2});
-  d.AddRecord({1, 2});
-  const std::string csv = WriteCsvDataset(d);
-  Dataset back(MiniDomain());
-  std::string error;
-  ASSERT_TRUE(ParseCsvDataset(csv, MiniDomain(), &back, &error)) << error;
-  EXPECT_EQ(back.NumRecords(), 3);
-  Vector x1 = d.ToDataVector();
-  Vector x2 = back.ToDataVector();
-  for (size_t i = 0; i < x1.size(); ++i) EXPECT_DOUBLE_EQ(x1[i], x2[i]);
-}
-
-TEST(Csv, WriteUsesGeneratedNamesForUnnamedDomains) {
-  Domain unnamed({2, 3});
-  Dataset d(unnamed);
-  d.AddRecord({1, 2});
-  const std::string csv = WriteCsvDataset(d);
-  EXPECT_EQ(csv.substr(0, csv.find('\n')), "a1,a2");
-}
-
 TEST(Csv, LoadMissingFile) {
   Dataset d(MiniDomain());
   std::string error;

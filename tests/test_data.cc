@@ -22,16 +22,6 @@ TEST(Dataset, DataVectorCounts) {
   EXPECT_DOUBLE_EQ(Sum(x), 3.0);
 }
 
-TEST(Dataset, FromDataVectorRoundTrip) {
-  Domain d({4});
-  Vector counts = {1.0, 0.0, 3.0, 2.0};
-  Dataset ds = FromDataVector(d, counts);
-  EXPECT_EQ(ds.NumRecords(), 6);
-  Vector back = ds.ToDataVector();
-  for (size_t i = 0; i < counts.size(); ++i)
-    EXPECT_DOUBLE_EQ(back[i], counts[i]);
-}
-
 TEST(Synthetic, UniformTotalPreserved) {
   Domain d({50});
   Rng rng(1);

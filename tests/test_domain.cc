@@ -29,7 +29,6 @@ TEST(Domain, FlattenIsRowMajor) {
 
 TEST(Domain, NamedAttributes) {
   Domain d({"sex", "age"}, {2, 115});
-  EXPECT_EQ(d.AttributeIndex("age"), 1);
   EXPECT_EQ(d.AttributeName(0), "sex");
   EXPECT_EQ(d.ToString(), "2 x 115");
 }

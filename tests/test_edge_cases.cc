@@ -13,8 +13,8 @@
 #include "linalg/lsmr.h"
 #include "linalg/pinv.h"
 #include "workload/building_blocks.h"
-#include "workload/impvec.h"
 #include "workload/marginals.h"
+#include "workload/predicate.h"
 
 namespace hdmm {
 namespace {
@@ -107,23 +107,6 @@ TEST(EdgeCases, MarginalsStrategyZeroWeightsDie) {
   Vector theta(4, 0.0);
   MarginalsStrategy strat(d, theta);
   EXPECT_DEATH(strat.NumQueries(), "all-zero");
-}
-
-TEST(EdgeCases, ImpVecEmptyPredicateSetIsTotal) {
-  Domain d({3, 4});
-  LogicalWorkload logical;
-  logical.domain = d;
-  LogicalProduct p;
-  p.predicate_sets.resize(2);
-  p.predicate_sets[0].push_back(Predicate::Equals(1));
-  // Attribute 1 unmentioned -> Total.
-  logical.products.push_back(p);
-  UnionWorkload w = ImpVec(logical);
-  EXPECT_EQ(w.TotalQueries(), 1);
-  Matrix full = w.Explicit();
-  double sum = 0.0;
-  for (int64_t j = 0; j < full.cols(); ++j) sum += full(0, j);
-  EXPECT_DOUBLE_EQ(sum, 4.0);  // Counts the whole age slice.
 }
 
 TEST(EdgeCases, PredicateOutOfRangeValuesIgnored) {

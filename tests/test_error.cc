@@ -86,20 +86,6 @@ TEST(Error, EmpiricalSquaredError) {
   EXPECT_DOUBLE_EQ(EmpiricalSquaredError(a, b), 0.25 + 0.0 + 4.0);
 }
 
-TEST(Error, RatioIsEpsilonIndependent) {
-  UnionWorkload w = Mixed2D();
-  KronStrategy a({IdentityBlock(4), IdentityBlock(6)});
-  KronStrategy b({PrefixBlock(4), IdentityBlock(6)});
-  double r = ErrorRatio(w, a, b);
-  // Total errors at two epsilons give the same ratio.
-  double r1 = std::sqrt(a.TotalSquaredError(w, 0.5) /
-                        b.TotalSquaredError(w, 0.5));
-  double r2 = std::sqrt(a.TotalSquaredError(w, 2.0) /
-                        b.TotalSquaredError(w, 2.0));
-  EXPECT_NEAR(r, r1, 1e-12);
-  EXPECT_NEAR(r, r2, 1e-12);
-}
-
 // Parameterized: KronStrategy error equals explicit error for varying
 // factor shapes (property sweep over Theorem 6).
 class KronErrorProperty : public ::testing::TestWithParam<int> {};

@@ -16,8 +16,8 @@
 #include "linalg/kron.h"
 #include "linalg/pinv.h"
 #include "workload/building_blocks.h"
-#include "workload/impvec.h"
 #include "workload/marginals.h"
+#include "workload/predicate.h"
 
 namespace hdmm {
 namespace {
@@ -377,32 +377,6 @@ TEST_P(Theorem4Test, FastObjectiveMatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Theorem4Test, ::testing::Range(0, 12));
-
-// --- ImpVec (Algorithm 1): logical workloads to implicit matrices. ---------
-
-TEST(ImpVecAlgorithm, MatchesBruteForceOnLogicalWorkload) {
-  Domain domain({3, 4});
-  LogicalWorkload logical;
-  logical.domain = domain;
-  logical.AddConjunction({{0, Predicate::Equals(1)}, {1, Predicate::Range(0, 2)}},
-                         2.0);
-  logical.AddConjunction({{1, Predicate::InSet({0, 3})}});
-
-  UnionWorkload w = ImpVec(logical);
-  ASSERT_EQ(w.NumProducts(), 2);
-  Matrix explicit_w = w.Explicit();
-  ASSERT_EQ(explicit_w.rows(), 2);
-
-  Vector row0 = BruteForceVectorize(
-      {Predicate::Equals(1), Predicate::Range(0, 2)}, domain);
-  Vector row1 =
-      BruteForceVectorize({Predicate::True(), Predicate::InSet({0, 3})},
-                          domain);
-  for (int64_t c = 0; c < domain.TotalSize(); ++c) {
-    EXPECT_DOUBLE_EQ(explicit_w(0, c), 2.0 * row0[static_cast<size_t>(c)]);
-    EXPECT_DOUBLE_EQ(explicit_w(1, c), row1[static_cast<size_t>(c)]);
-  }
-}
 
 }  // namespace
 }  // namespace hdmm

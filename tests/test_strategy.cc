@@ -247,12 +247,5 @@ TEST(Strategy, MeasureAddsCalibratedNoise) {
   EXPECT_NEAR(var, expected, 0.15 * expected);
 }
 
-TEST(ErrorRatio, IdentityVsItselfIsOne) {
-  UnionWorkload w = SmallWorkload();
-  KronStrategy a({IdentityBlock(3), IdentityBlock(4)});
-  KronStrategy b({IdentityBlock(3), IdentityBlock(4)});
-  EXPECT_NEAR(ErrorRatio(w, a, b), 1.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace hdmm

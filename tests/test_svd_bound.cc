@@ -19,9 +19,10 @@ TEST(SvdBound, IdentityWorkloadBoundIsTight) {
   // identity strategy achieves exactly ||I||_1^2 ||I I^+||_F^2 = n.
   for (int64_t n : {2, 5, 16}) {
     UnionWorkload w = MakeProductWorkload(Domain({n}), {IdentityBlock(n)});
-    EXPECT_NEAR(SquaredErrorLowerBound(w), static_cast<double>(n), 1e-9);
+    const double bound = SquaredErrorLowerBound(w);
+    EXPECT_NEAR(bound, static_cast<double>(n), 1e-9);
     ExplicitStrategy identity(IdentityBlock(n));
-    EXPECT_NEAR(OptimalityRatio(identity, w), 1.0, 1e-9);
+    EXPECT_NEAR(identity.SquaredError(w), bound, 2e-9 * bound);
   }
 }
 
@@ -30,9 +31,10 @@ TEST(SvdBound, TotalWorkloadBoundIsTight) {
   // Total strategy itself.
   const int64_t n = 12;
   UnionWorkload w = MakeProductWorkload(Domain({n}), {TotalBlock(n)});
-  EXPECT_NEAR(SquaredErrorLowerBound(w), 1.0, 1e-9);
+  const double bound = SquaredErrorLowerBound(w);
+  EXPECT_NEAR(bound, 1.0, 1e-9);
   ExplicitStrategy total(TotalBlock(n));
-  EXPECT_NEAR(OptimalityRatio(total, w), 1.0, 1e-9);
+  EXPECT_NEAR(total.SquaredError(w), bound, 2e-9 * bound);
 }
 
 TEST(SvdBound, SingleProductMatchesExplicitNuclearNorm) {
@@ -71,14 +73,8 @@ TEST(SvdBound, ScalesQuadraticallyWithWeight) {
               1e-9);
 }
 
-TEST(SvdBound, EpsilonScaling) {
-  UnionWorkload w = MakeProductWorkload(Domain({8}), {PrefixBlock(8)});
-  const double at_1 = TotalSquaredErrorLowerBound(w, 1.0);
-  const double at_2 = TotalSquaredErrorLowerBound(w, 2.0);
-  EXPECT_NEAR(at_1, 4.0 * at_2, 1e-9 * at_1);
-}
-
 // Every strategy must sit above the bound: sweep strategies and workloads.
+// sqrt(error / bound) >= 1 - 1e-9 is error >= (1 - 2e-9) * bound.
 class BoundDominanceTest : public ::testing::TestWithParam<int64_t> {};
 
 TEST_P(BoundDominanceTest, AllStrategiesAboveBound) {
@@ -93,9 +89,13 @@ TEST_P(BoundDominanceTest, AllStrategiesAboveBound) {
   strategies.push_back(
       std::make_unique<ExplicitStrategy>(HierarchicalBlock(n, 4)));
 
+  const double range_bound = SquaredErrorLowerBound(range);
+  const double prefix_bound = SquaredErrorLowerBound(prefix);
   for (const auto& s : strategies) {
-    EXPECT_GE(OptimalityRatio(*s, range), 1.0 - 1e-9) << s->Name();
-    EXPECT_GE(OptimalityRatio(*s, prefix), 1.0 - 1e-9) << s->Name();
+    EXPECT_GE(s->SquaredError(range), (1.0 - 2e-9) * range_bound)
+        << s->Name();
+    EXPECT_GE(s->SquaredError(prefix), (1.0 - 2e-9) * prefix_bound)
+        << s->Name();
   }
 }
 
@@ -111,16 +111,18 @@ TEST(SvdBound, HdmmStrategyIsAboveBoundAndReasonablyClose) {
   options.restarts = 2;
   options.seed = 7;
   HdmmResult result = OptimizeStrategy(w, options);
-  const double ratio = OptimalityRatio(*result.strategy, w);
-  EXPECT_GE(ratio, 1.0 - 1e-9);
-  EXPECT_LT(ratio, 3.0);
+  const double error = result.strategy->SquaredError(w);
+  const double bound = SquaredErrorLowerBound(w);
+  EXPECT_GE(error, (1.0 - 2e-9) * bound);
+  // A root-scale gap below 3 is an error below 9 times the bound.
+  EXPECT_LT(error, 9.0 * bound);
 }
 
 TEST(SvdBound, MarginalsWorkloadRespectsBound) {
   Domain d({3, 4, 2});
   UnionWorkload w = AllMarginals(d);
   MarginalsStrategy uniform(d, Vector(8, 1.0));
-  EXPECT_GE(OptimalityRatio(uniform, w), 1.0 - 1e-9);
+  EXPECT_GE(uniform.SquaredError(w), (1.0 - 2e-9) * SquaredErrorLowerBound(w));
 }
 
 TEST(SvdBoundDeath, EmptyWorkload) {

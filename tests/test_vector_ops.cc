@@ -13,7 +13,6 @@ TEST(VectorOps, DotAndNorms) {
   EXPECT_DOUBLE_EQ(Dot(a, b), 4.0 - 10.0 + 18.0);
   EXPECT_DOUBLE_EQ(Norm2Squared(a), 14.0);
   EXPECT_DOUBLE_EQ(Norm2(a), std::sqrt(14.0));
-  EXPECT_DOUBLE_EQ(NormInf(b), 6.0);
   EXPECT_DOUBLE_EQ(Sum(a), 6.0);
 }
 
@@ -37,14 +36,6 @@ TEST(VectorOps, AddSub) {
   EXPECT_DOUBLE_EQ(s[1], 7.0);
   EXPECT_DOUBLE_EQ(d[0], 2.0);
   EXPECT_DOUBLE_EQ(d[1], 3.0);
-}
-
-TEST(VectorOps, Constructors) {
-  Vector z = ZerosVector(4);
-  EXPECT_EQ(z.size(), 4u);
-  EXPECT_DOUBLE_EQ(Sum(z), 0.0);
-  Vector c = ConstantVector(3, 2.5);
-  EXPECT_DOUBLE_EQ(Sum(c), 7.5);
 }
 
 }  // namespace

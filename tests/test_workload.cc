@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "core/gram_cache.h"
 #include "workload/building_blocks.h"
-#include "workload/impvec.h"
 
 namespace hdmm {
 namespace {
@@ -69,67 +68,6 @@ TEST(Workload, StorageAccounting) {
   // Implicit: (3*3 + 1*4) + (1*3 + 4*4) = 13 + 19 = 32 doubles.
   EXPECT_EQ(w.ImplicitStorageDoubles(), 32);
   EXPECT_EQ(w.ExplicitStorageDoubles(), 7 * 12);
-}
-
-TEST(ImpVec, SingleConjunctionExample2) {
-  // Example 2: SELECT Count(*) WHERE sex = M AND age < 5,
-  // on a Sex(2) x Age(10) toy domain.
-  Domain d({"sex", "age"}, {2, 10});
-  LogicalWorkload logical;
-  logical.domain = d;
-  logical.AddConjunction({{0, Predicate::Equals(0)},
-                          {1, Predicate::Range(0, 4)}});
-  UnionWorkload w = ImpVec(logical);
-  EXPECT_EQ(w.TotalQueries(), 1);
-  Matrix full = w.Explicit();
-  EXPECT_EQ(full.rows(), 1);
-  // The single query counts cells (0, 0..4).
-  double expect_sum = 0.0;
-  for (int64_t j = 0; j < full.cols(); ++j) expect_sum += full(0, j);
-  EXPECT_DOUBLE_EQ(expect_sum, 5.0);
-  EXPECT_DOUBLE_EQ(full(0, 0), 1.0);   // (sex=0, age=0)
-  EXPECT_DOUBLE_EQ(full(0, 10), 0.0);  // (sex=1, age=0)
-}
-
-TEST(ImpVec, GroupByAsProductExample3) {
-  // Example 3: GROUP BY sex, age WHERE hispanic = true on
-  // Hispanic(2) x Sex(2) x Age(5): 2*5 = 10 queries.
-  Domain d({"hispanic", "sex", "age"}, {2, 2, 5});
-  LogicalWorkload logical;
-  logical.domain = d;
-  LogicalProduct p;
-  p.predicate_sets.resize(3);
-  p.predicate_sets[0] = {Predicate::Equals(1)};
-  for (int64_t s = 0; s < 2; ++s)
-    p.predicate_sets[1].push_back(Predicate::Equals(s));
-  for (int64_t a = 0; a < 5; ++a)
-    p.predicate_sets[2].push_back(Predicate::Equals(a));
-  logical.products.push_back(p);
-  UnionWorkload w = ImpVec(logical);
-  EXPECT_EQ(w.TotalQueries(), 10);
-  // Each query counts exactly one cell (hispanic=1 slice).
-  Matrix full = w.Explicit();
-  for (int64_t r = 0; r < full.rows(); ++r) {
-    double s = 0.0;
-    for (int64_t j = 0; j < full.cols(); ++j) s += full(r, j);
-    EXPECT_DOUBLE_EQ(s, 1.0);
-  }
-}
-
-TEST(ImpVec, ImplicitVectorizationTheorem1) {
-  // vec(phi1 ^ phi2) = vec(phi1) kron vec(phi2).
-  Domain d({4, 6});
-  LogicalWorkload logical;
-  logical.domain = d;
-  logical.AddConjunction({{0, Predicate::InSet({1, 3})},
-                          {1, Predicate::Range(2, 4)}});
-  UnionWorkload w = ImpVec(logical);
-  Matrix full = w.Explicit();
-  Vector v1 = VectorizePredicate(Predicate::InSet({1, 3}), 4);
-  Vector v2 = VectorizePredicate(Predicate::Range(2, 4), 6);
-  Vector kron = KronVector({v1, v2});
-  for (int64_t j = 0; j < full.cols(); ++j)
-    EXPECT_DOUBLE_EQ(full(0, j), kron[static_cast<size_t>(j)]);
 }
 
 TEST(Workload, WeightForRelativeErrorScalesInverselyToL1) {

@@ -33,7 +33,6 @@
 #include "core/diagnostics.h"
 #include "core/hdmm.h"
 #include "core/strategy_io.h"
-#include "core/svd_bound.h"
 #include "data/csv.h"
 #include "engine/engine.h"
 #include "workload/building_blocks.h"
@@ -279,7 +278,8 @@ int CmdOptimize(const Flags& flags) {
   // any strategy could do, on the paper's root-error scale.
   const SessionDiagnostics diag = DiagnoseSession(*result.strategy, w, epsilon);
   if (diag.computable) {
-    const double gap = OptimalityRatio(*result.strategy, w);
+    // sqrt(achieved / bound), the reciprocal of pct_of_optimal / 100.
+    const double gap = 100.0 / diag.pct_of_optimal;
     std::printf("optimality gap vs spectral lower bound [28]: %.3f%s\n", gap,
                 gap < 1.005 ? " (certified optimal)" : "");
     std::printf("pct_of_optimal: %.1f%%  (Err bound %.6g vs achieved %.6g at "
