@@ -182,12 +182,24 @@ void Tridiagonalize(Matrix* a_io, Vector* d, Vector* e, Vector* tau) {
 // commute). This turns the classic column-strided update into a streaming
 // one without changing a single arithmetic op. Returns false if an eigenvalue
 // fails to converge (practically unreachable; callers fall back to Jacobi).
+//
+// e[m] deflates when it is negligible next to its two diagonal neighbours or
+// next to the whole tridiagonal (max_k |d[k]| + |e[k]|, taken once up front).
+// The second test is what lets a rank-deficient matrix converge: its
+// null-space diagonal shrinks toward underflow (|d| ~ 1e-320), where the
+// neighbour test can never pass.
 bool TqlImplicit(Vector* d_io, Vector* e_io, Matrix* z) {
   Vector& d = *d_io;
   Vector& e = *e_io;
   const int64_t n = static_cast<int64_t>(d.size());
   if (n <= 1) return true;
   const double eps = std::numeric_limits<double>::epsilon();
+  double norm = 0.0;
+  for (int64_t k = 0; k < n; ++k) {
+    norm = std::max(norm, std::fabs(d[static_cast<size_t>(k)]) +
+                              std::fabs(e[static_cast<size_t>(k)]));
+  }
+  const double negligible = eps * norm;
   std::vector<double> cs(static_cast<size_t>(n)), sn(static_cast<size_t>(n));
   for (int64_t l = 0; l < n; ++l) {
     int iter = 0;
@@ -196,7 +208,8 @@ bool TqlImplicit(Vector* d_io, Vector* e_io, Matrix* z) {
       for (m = l; m < n - 1; ++m) {
         const double dd = std::fabs(d[static_cast<size_t>(m)]) +
                           std::fabs(d[static_cast<size_t>(m + 1)]);
-        if (std::fabs(e[static_cast<size_t>(m)]) <= eps * dd) break;
+        const double em = std::fabs(e[static_cast<size_t>(m)]);
+        if (em <= eps * dd || em <= negligible) break;
       }
       if (m != l) {
         if (iter++ == 50) return false;

@@ -5,13 +5,16 @@
 // fallback paths in TracePinvGram.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
 #include "linalg/pinv.h"
+#include "workload/parser.h"
 
 namespace hdmm {
 namespace {
@@ -202,6 +205,41 @@ TEST(EigenFactor, HandlesRankDeficiency) {
     EXPECT_NEAR(eig.eigenvalues[static_cast<size_t>(i)], 0.0, 1e-8);
   for (int64_t i = n - 20; i < n; ++i)
     EXPECT_GT(eig.eigenvalues[static_cast<size_t>(i)], 1e-6);
+
+  // A union Gram of rank 23 over 512 cells. Its null-space diagonal
+  // underflows during QL, where a deflation test against the two diagonal
+  // neighbours alone never passes; the time bounds catch a fallback to the
+  // O(n^3)-per-sweep Jacobi solver.
+  const UnionWorkload union_workload = ParseWorkloadOrDie(
+      "domain a=8 b=16 c=4\n"
+      "product a=allrange\n"
+      "product weight=2 b=allrange\n");
+  const Matrix union_gram = union_workload.ExplicitGram();
+  ASSERT_EQ(union_gram.rows(), 512);
+  const double trace = union_gram.Trace();
+  const double frob_sq = union_gram.FrobeniusNormSquared();
+  WallTimer values_timer;
+  const Vector values = EigenvaluesSym(union_gram);
+  const double values_s = values_timer.Seconds();
+  WallTimer full_timer;
+  const Vector full = EigenSym(union_gram).eigenvalues;
+  const double full_s = full_timer.Seconds();
+  EXPECT_LT(values_s, 2.0);
+  EXPECT_LT(full_s, 2.0);
+  for (const Vector* lambdas : {&values, &full}) {
+    const double max_ev = *std::max_element(lambdas->begin(), lambdas->end());
+    int rank = 0;
+    double sum = 0.0, sum_sq = 0.0;
+    for (double lambda : *lambdas) {
+      EXPECT_GE(lambda, -1e-9 * max_ev);
+      if (lambda > 1e-9 * max_ev) ++rank;
+      sum += lambda;
+      sum_sq += lambda * lambda;
+    }
+    EXPECT_EQ(rank, 23);
+    EXPECT_NEAR(sum, trace, 1e-12 * trace);
+    EXPECT_NEAR(sum_sq, frob_sq, 1e-12 * frob_sq);
+  }
 }
 
 TEST(PseudoInverseFactor, MoorePenroseIdentities) {
