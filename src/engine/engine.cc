@@ -762,10 +762,6 @@ PlanResult Engine::Plan(const UnionWorkload& w) {
 StatusOr<PlanResult> Engine::PlanOr(const UnionWorkload& w,
                                     const CancelToken* cancel) {
   HDMM_TRACE_SPAN("Engine::Plan");
-  static Counter* const memory_hits =
-      Metrics::GetCounter("engine.plan.memory_hits");
-  static Counter* const disk_hits =
-      Metrics::GetCounter("engine.plan.disk_hits");
   static Counter* const optimized_count =
       Metrics::GetCounter("engine.plan.optimized");
   static Histogram* const latency =
@@ -791,7 +787,6 @@ StatusOr<PlanResult> Engine::PlanOr(const UnionWorkload& w,
     result.source = tier == StrategyCache::Tier::kMemory
                         ? PlanSource::kMemoryCache
                         : PlanSource::kDiskCache;
-    (tier == StrategyCache::Tier::kMemory ? memory_hits : disk_hits)->Add(1);
     result.seconds = timer.Seconds();
     latency->Record(static_cast<uint64_t>(result.seconds * 1e9));
     return result;
