@@ -1,4 +1,4 @@
-// Ablations on HDMM's design choices (DESIGN.md section 6):
+// Ablations on HDMM's design choices:
 //  1. Theorem 4: the O(pN^2) Woodbury objective vs the naive O(N^3) path
 //     (the paper reports a 240x speedup at N = 8192).
 //  2. The Section 7.1 p-convention (p = n/16) vs p = 1 on range workloads.
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   }
 
   // --- 4. OPT_+ budget split: even lambda_g = 1/l vs the optimized
-  // lambda_g ~ e_g^{1/3} (the Definition 11 extension, DESIGN.md 6b) on the
+  // lambda_g ~ e_g^{1/3} (the Definition 11 extension, core/opt_union.h) on the
   // asymmetric union [R x T; T x R'] where group errors differ.
   std::printf("\nOPT_+ budget split on [R(32) x T; T x R(8)] (squared "
               "error):\n");

@@ -1,6 +1,7 @@
-// Shared helpers for the experiment binaries. Each bench regenerates one
-// table or figure of the paper (see DESIGN.md section 6) and prints the
-// paper's rows/series; pass --full to run at full paper scale.
+// Shared helpers for the experiment binaries. Each bench_table* and
+// bench_fig* binary regenerates the table or figure of the paper it is named
+// after and prints the paper's rows/series; pass --full to run at full paper
+// scale.
 #ifndef HDMM_BENCH_BENCH_UTIL_H_
 #define HDMM_BENCH_BENCH_UTIL_H_
 

@@ -1,7 +1,7 @@
 // LRM — the Low-Rank Mechanism [49]. Factors the workload W ~ B L and
 // measures the low-rank query set L; answers are reconstructed as B y.
 //
-// Substitution note (see DESIGN.md): the original solves an augmented
+// Substitution note: the original solves an augmented
 // Lagrangian program under an L1 sensitivity constraint. This implementation
 // seeds with the spectral (SVD-bound) factorization obtained from the
 // eigendecomposition of W^T W — the closed-form optimum of the Frobenius

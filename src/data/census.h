@@ -5,8 +5,7 @@
 // form; these generators reproduce their logical *shape* — a union of 32
 // products over the CPH schema totalling exactly 4151 national queries, and
 // the SF1+ extension that adds per-state grouping ([Total; Identity] on the
-// State attribute, Example 5) for 215,852 queries total. See DESIGN.md,
-// "Substitutions".
+// State attribute, Example 5) for 215,852 queries total.
 #ifndef HDMM_DATA_CENSUS_H_
 #define HDMM_DATA_CENSUS_H_
 
@@ -21,7 +20,8 @@ namespace hdmm {
 Domain CphDomain(bool include_state);
 
 /// SF1 stand-in: 32 products, 4151 national-level predicate counting
-/// queries. Defined over CphDomain(true) with Total on State.
+/// queries. Defined over CphDomain(false), the 5-attribute national domain
+/// (N = 500,480).
 UnionWorkload Sf1Workload();
 
 /// SF1+ stand-in: the same 32 products with [Total; Identity] on State,

@@ -1,8 +1,9 @@
 // Synthetic data-vector generators. The paper's headline error metric is
 // data-independent; real datasets matter only for the data-dependent
 // algorithms (DAWA, PrivBayes). These generators produce the controlled
-// non-uniformity those algorithms are sensitive to (see DESIGN.md,
-// "Substitutions").
+// non-uniformity those algorithms are sensitive to. They stand in for the
+// real datasets of the paper's data-dependent experiments, which are not
+// shipped with the library.
 #ifndef HDMM_DATA_SYNTHETIC_H_
 #define HDMM_DATA_SYNTHETIC_H_
 
