@@ -1,21 +1,15 @@
-// Factorization-layer micro-benchmarks: races the seed repo's scalar kernels
-// (three-loop Cholesky, cyclic-Jacobi EigenSym, per-column TracePinvGram —
-// replicated below so the baseline never drifts) against the blocked
-// right-looking Cholesky, the Householder+QL eigensolver, and the multi-RHS
-// solve path, and emits BENCH_factor.json in the working directory as the
-// perf-trajectory record alongside BENCH_matmul.json.
-#include <algorithm>
-#include <cmath>
+// Factorization-layer micro-benchmarks: times the blocked right-looking
+// Cholesky, the Householder+QL eigensolver, and the multi-RHS
+// TracePinvGram path, and writes BENCH_factor.json in the working directory
+// as the perf-trajectory record alongside BENCH_matmul.json: a change to
+// the layer compares its `blocked_s` with the checked-in file, recorded on
+// the same host.
 #include <cstdio>
-#include <functional>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "common/timer.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
@@ -25,136 +19,21 @@ namespace {
 
 using namespace hdmm;
 
-// ----------------------------------------------------------------------
-// Replicas of the seed repo's factorization kernels (pre-blocked layer).
-
-bool SeedCholeskyFactor(const Matrix& x, Matrix* l) {
-  const int64_t n = x.rows();
-  *l = Matrix::Zeros(n, n);
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j <= i; ++j) {
-      double s = x(i, j);
-      const double* li = l->Row(i);
-      const double* lj = l->Row(j);
-      for (int64_t k = 0; k < j; ++k) s -= li[k] * lj[k];
-      if (i == j) {
-        if (s <= 0.0 || !std::isfinite(s)) return false;
-        (*l)(i, i) = std::sqrt(s);
-      } else {
-        (*l)(i, j) = s / (*l)(j, j);
-      }
-    }
-  }
-  return true;
-}
-
-SymmetricEigen SeedJacobiEigenSym(const Matrix& x, int max_sweeps = 64,
-                                  double tol = 1e-12) {
-  const int64_t n = x.rows();
-  Matrix a = x;
-  Matrix v = Matrix::Identity(n);
-  double base = 0.0;
-  for (int64_t i = 0; i < n; ++i)
-    for (int64_t j = 0; j < n; ++j) base += a(i, j) * a(i, j);
-  base = std::sqrt(base);
-  if (base == 0.0) base = 1.0;
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off = 0.0;
-    for (int64_t i = 0; i < n; ++i)
-      for (int64_t j = i + 1; j < n; ++j) off += a(i, j) * a(i, j);
-    if (std::sqrt(off) <= tol * base) break;
-    for (int64_t p = 0; p < n - 1; ++p) {
-      for (int64_t q = p + 1; q < n; ++q) {
-        double apq = a(p, q);
-        if (std::fabs(apq) <= 1e-300) continue;
-        double app = a(p, p), aqq = a(q, q);
-        double tau = (aqq - app) / (2.0 * apq);
-        double t = (tau >= 0.0) ? 1.0 / (tau + std::sqrt(1.0 + tau * tau))
-                                : 1.0 / (tau - std::sqrt(1.0 + tau * tau));
-        double c = 1.0 / std::sqrt(1.0 + t * t);
-        double s = t * c;
-        for (int64_t k = 0; k < n; ++k) {
-          double akp = a(k, p), akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
-        }
-        for (int64_t k = 0; k < n; ++k) {
-          double apk = a(p, k), aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
-        }
-        for (int64_t k = 0; k < n; ++k) {
-          double vkp = v(k, p), vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  Vector evals(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) evals[static_cast<size_t>(i)] = a(i, i);
-  std::sort(order.begin(), order.end(), [&](int64_t l, int64_t r) {
-    return evals[static_cast<size_t>(l)] < evals[static_cast<size_t>(r)];
-  });
-  SymmetricEigen out;
-  out.eigenvalues.resize(static_cast<size_t>(n));
-  out.eigenvectors = Matrix(n, n);
-  for (int64_t i = 0; i < n; ++i) {
-    int64_t src = order[static_cast<size_t>(i)];
-    out.eigenvalues[static_cast<size_t>(i)] = evals[static_cast<size_t>(src)];
-    for (int64_t k = 0; k < n; ++k) out.eigenvectors(k, i) = v(k, src);
-  }
-  return out;
-}
-
-double SeedTracePinvGram(const Matrix& gram_a, const Matrix& gram_w) {
-  Matrix l;
-  if (SeedCholeskyFactor(gram_a, &l)) {
-    double tr = 0.0;
-    for (int64_t j = 0; j < gram_w.cols(); ++j) {
-      Vector col = gram_w.ColVector(j);
-      Vector sol = CholeskySolve(l, col);
-      tr += sol[static_cast<size_t>(j)];
-    }
-    return tr;
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
-// ----------------------------------------------------------------------
-
-double TimeBest(const std::function<void()>& fn, int min_reps = 3,
-                double min_total_s = 0.3) {
-  double best = 1e300;
-  double total = 0.0;
-  for (int rep = 0; rep < 20 && (rep < min_reps || total < min_total_s);
-       ++rep) {
-    WallTimer timer;
-    fn();
-    double t = timer.Seconds();
-    best = std::min(best, t);
-    total += t;
-  }
-  return best;
-}
+using hdmm_bench::TimeBest;
 
 struct FactorRow {
   std::string kernel;
   int64_t n;
-  double seed_s, blocked_s;
+  double blocked_s;
 };
 
 void PrintRow(const FactorRow& r) {
-  std::printf("%-16s n=%-6lld %12.4f %12.4f %10.2fx\n", r.kernel.c_str(),
-              static_cast<long long>(r.n), r.seed_s, r.blocked_s,
-              r.seed_s / r.blocked_s);
+  std::printf("%-16s n=%-6lld %12.4f\n", r.kernel.c_str(),
+              static_cast<long long>(r.n), r.blocked_s);
 }
 
 void BenchCholesky(bool full, std::vector<FactorRow>* rows) {
-  hdmm_bench::Banner("Cholesky factorization",
-                     "seed scalar three-loop vs blocked right-looking");
+  hdmm_bench::Banner("Cholesky factorization", "blocked right-looking");
   std::vector<int64_t> sizes = {256, 512, 1024};
   if (full) sizes.push_back(2048);
   Rng rng(1);
@@ -164,8 +43,7 @@ void BenchCholesky(bool full, std::vector<FactorRow>* rows) {
     GramInto(a, &g);
     for (int64_t i = 0; i < n; ++i) g(i, i) += 0.5;
     Matrix l;
-    FactorRow row{"cholesky", n, 0, 0};
-    row.seed_s = TimeBest([&] { SeedCholeskyFactor(g, &l); }, 1, 0.3);
+    FactorRow row{"cholesky", n, 0};
     row.blocked_s = TimeBest([&] { CholeskyFactor(g, &l); }, 3, 0.3);
     PrintRow(row);
     rows->push_back(row);
@@ -174,7 +52,7 @@ void BenchCholesky(bool full, std::vector<FactorRow>* rows) {
 
 void BenchEigen(bool full, std::vector<FactorRow>* rows) {
   hdmm_bench::Banner("Symmetric eigendecomposition",
-                     "seed cyclic Jacobi vs Householder tridiag + QL");
+                     "Householder tridiag + QL");
   std::vector<int64_t> sizes = {256, 512};
   if (full) sizes.push_back(1024);
   Rng rng(2);
@@ -184,8 +62,7 @@ void BenchEigen(bool full, std::vector<FactorRow>* rows) {
     GramInto(a, &g);
     for (int64_t i = 0; i < n; ++i) g(i, i) += 0.1;
     SymmetricEigen eig;
-    FactorRow row{"eigen_sym", n, 0, 0};
-    row.seed_s = TimeBest([&] { eig = SeedJacobiEigenSym(g); }, 1, 0.0);
+    FactorRow row{"eigen_sym", n, 0};
     row.blocked_s = TimeBest([&] { eig = EigenSym(g); }, 1, 0.3);
     PrintRow(row);
     rows->push_back(row);
@@ -193,8 +70,7 @@ void BenchEigen(bool full, std::vector<FactorRow>* rows) {
 }
 
 void BenchTracePinvGram(bool full, std::vector<FactorRow>* rows) {
-  hdmm_bench::Banner("TracePinvGram end-to-end",
-                     "seed per-column solves vs blocked multi-RHS path");
+  hdmm_bench::Banner("TracePinvGram end-to-end", "blocked multi-RHS path");
   std::vector<int64_t> sizes = {256, 512, 1024};
   if (full) sizes.push_back(2048);
   Rng rng(3);
@@ -207,14 +83,8 @@ void BenchTracePinvGram(bool full, std::vector<FactorRow>* rows) {
     Matrix gw;
     GramInto(w, &gw);
     double tr = 0.0;
-    FactorRow row{"trace_pinv_gram", n, 0, 0};
-    row.seed_s = TimeBest([&] { tr = SeedTracePinvGram(ga, gw); }, 1, 0.3);
-    const double seed_tr = tr;
+    FactorRow row{"trace_pinv_gram", n, 0};
     row.blocked_s = TimeBest([&] { tr = TracePinvGram(ga, gw); }, 3, 0.3);
-    if (std::fabs(tr - seed_tr) > 1e-6 * std::fabs(seed_tr)) {
-      std::printf("  WARNING: blocked trace %.12g != seed trace %.12g\n", tr,
-                  seed_tr);
-    }
     PrintRow(row);
     rows->push_back(row);
   }
@@ -231,10 +101,9 @@ void WriteJson(const std::vector<FactorRow>& rows, const char* path) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const FactorRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"n\": %lld, \"seed_s\": %.6f, "
-                 "\"blocked_s\": %.6f, \"speedup\": %.3f}%s\n",
-                 r.kernel.c_str(), static_cast<long long>(r.n), r.seed_s,
-                 r.blocked_s, r.seed_s / r.blocked_s,
+                 "    {\"kernel\": \"%s\", \"n\": %lld, "
+                 "\"blocked_s\": %.6f}%s\n",
+                 r.kernel.c_str(), static_cast<long long>(r.n), r.blocked_s,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

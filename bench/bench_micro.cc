@@ -1,22 +1,20 @@
 // Micro-benchmarks for the kernels HDMM's scalability rests on. The headline
-// section races the seed repo's naive GEMM/Gram kernels (replicated below,
-// threading included) against the blocked SYRK/GEMM substrate and emits the
-// results as machine-readable BENCH_matmul.json in the working directory so
-// future PRs have a perf trajectory to regress against. The remaining
-// sections time the Kronecker mat-vec (Appendix A.5), the p-Identity
-// objective (Theorem 4), Cholesky solves, and LSMR iterations.
+// section times the blocked GEMM and SYRK Gram kernels, serial and pooled,
+// and a pooled GEMM thread-scaling sweep, and writes them to
+// BENCH_matmul.json in the working directory: a change to the substrate
+// compares its `blocked_s` with the checked-in file, recorded on the same
+// host. The remaining sections time the Kronecker mat-vec (Appendix A.5),
+// the p-Identity objective (Theorem 4), Cholesky solves, and LSMR
+// iterations.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "core/pidentity.h"
 #include "linalg/cholesky.h"
 #include "linalg/gemm.h"
@@ -28,90 +26,12 @@ namespace {
 
 using namespace hdmm;
 
-// ----------------------------------------------------------------------
-// Replicas of the seed repo's kernels (pre-blocked-GEMM), used as the fixed
-// baseline in BENCH_matmul.json. Kept verbatim, per-call std::thread and all.
-constexpr int64_t kSeedParallelFlopThreshold = int64_t{1} << 24;
-
-void SeedParallelOverRows(int64_t rows, int64_t flops,
-                          const std::function<void(int64_t, int64_t)>& body) {
-  unsigned hw = std::thread::hardware_concurrency();
-  int threads =
-      (flops < kSeedParallelFlopThreshold || hw == 0) ? 1 : static_cast<int>(hw);
-  if (threads <= 1 || rows < 2 * threads) {
-    body(0, rows);
-    return;
-  }
-  std::vector<std::thread> pool;
-  int64_t chunk = (rows + threads - 1) / threads;
-  for (int t = 0; t < threads; ++t) {
-    int64_t r0 = t * chunk;
-    int64_t r1 = std::min(rows, r0 + chunk);
-    if (r0 >= r1) break;
-    pool.emplace_back(body, r0, r1);
-  }
-  for (auto& th : pool) th.join();
-}
-
-Matrix SeedMatMul(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols());
-  int64_t flops = a.rows() * a.cols() * b.cols();
-  SeedParallelOverRows(a.rows(), flops, [&](int64_t r0, int64_t r1) {
-    const int64_t k_dim = a.cols();
-    const int64_t n = b.cols();
-    for (int64_t i = r0; i < r1; ++i) {
-      const double* arow = a.Row(i);
-      double* crow = c.Row(i);
-      for (int64_t k = 0; k < k_dim; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        const double* brow = b.Row(k);
-        for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
-  });
-  return c;
-}
-
-Matrix SeedGram(const Matrix& a) {
-  // Seed Gram(a) == seed MatMulTN(a, a): serial outer-product accumulation.
-  Matrix c(a.cols(), a.cols());
-  const int64_t m = a.rows();
-  const int64_t p = a.cols();
-  for (int64_t k = 0; k < m; ++k) {
-    const double* arow = a.Row(k);
-    for (int64_t i = 0; i < p; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* crow = c.Row(i);
-      for (int64_t j = 0; j < p; ++j) crow[j] += aki * arow[j];
-    }
-  }
-  return c;
-}
-
-// ----------------------------------------------------------------------
-// Best-of-N wall time of `fn`, with enough repetitions to get past timer
-// noise on fast kernels.
-double TimeBest(const std::function<void()>& fn, int min_reps = 3,
-                double min_total_s = 0.3) {
-  double best = 1e300;
-  double total = 0.0;
-  for (int rep = 0; rep < 20 && (rep < min_reps || total < min_total_s);
-       ++rep) {
-    WallTimer timer;
-    fn();
-    double t = timer.Seconds();
-    best = std::min(best, t);
-    total += t;
-  }
-  return best;
-}
+using hdmm_bench::TimeBest;
 
 struct MatmulRow {
   std::string kernel;
   int64_t m, k, n;
-  double seed_naive_s, blocked_s, blocked_pool_s;
+  double blocked_s, blocked_pool_s;
 };
 
 // One arm of the pooled-GEMM thread-scaling sweep: wall time on a private
@@ -125,35 +45,28 @@ struct ScalePoint {
 };
 
 void BenchMatmulSection(bool full, std::vector<MatmulRow>* rows) {
-  hdmm_bench::Banner("GEMM / Gram kernel comparison",
-                     "seed naive kernels vs blocked SYRK/GEMM substrate");
+  hdmm_bench::Banner("GEMM / Gram kernels",
+                     "blocked SYRK/GEMM substrate, serial and pooled");
   std::vector<int64_t> sizes = {256, 512, 1024};
   if (full) sizes.push_back(2048);
 
-  hdmm_bench::PrintHeader(
-      "matmul NxNxN", {"seed(s)", "blocked(s)", "pool(s)", "x-blk", "x-pool"},
-      12);
+  hdmm_bench::PrintHeader("matmul NxNxN", {"blocked(s)", "pool(s)"}, 12);
   Rng rng(1);
   for (int64_t n : sizes) {
     Matrix a = Matrix::RandomUniform(n, n, &rng, -1.0, 1.0);
     Matrix b = Matrix::RandomUniform(n, n, &rng, -1.0, 1.0);
     Matrix out;
-    MatmulRow row{"matmul", n, n, n, 0, 0, 0};
-    row.seed_naive_s = TimeBest([&] { out = SeedMatMul(a, b); });
+    MatmulRow row{"matmul", n, n, n, 0, 0};
     row.blocked_s = TimeBest(
         [&] { MatMulInto(a, b, &out, GemmParallelism::kSerial); });
     row.blocked_pool_s = TimeBest(
         [&] { MatMulInto(a, b, &out, GemmParallelism::kPooled); });
-    std::printf("%-28s%12.4f%12.4f%12.4f%12.2f%12.2f\n",
-                (std::to_string(n) + "^3").c_str(), row.seed_naive_s,
-                row.blocked_s, row.blocked_pool_s,
-                row.seed_naive_s / row.blocked_s,
-                row.seed_naive_s / row.blocked_pool_s);
+    std::printf("%-28s%12.4f%12.4f\n", (std::to_string(n) + "^3").c_str(),
+                row.blocked_s, row.blocked_pool_s);
     rows->push_back(row);
   }
 
-  hdmm_bench::PrintHeader(
-      "gram MxN", {"seed(s)", "blocked(s)", "pool(s)", "x-blk", "x-pool"}, 12);
+  hdmm_bench::PrintHeader("gram MxN", {"blocked(s)", "pool(s)"}, 12);
   std::vector<std::pair<int64_t, int64_t>> gram_shapes = {{1024, 512},
                                                           {1024, 1024}};
   if (full) gram_shapes.push_back({4096, 1024});
@@ -161,17 +74,14 @@ void BenchMatmulSection(bool full, std::vector<MatmulRow>* rows) {
     Matrix a = Matrix::RandomUniform(m, n, &rng, -1.0, 1.0);
     Matrix out;
     // Gram(A) for m x n A is the n x n product A^T A with inner dimension m.
-    MatmulRow row{"gram", n, m, n, 0, 0, 0};
-    row.seed_naive_s = TimeBest([&] { out = SeedGram(a); });
+    MatmulRow row{"gram", n, m, n, 0, 0};
     row.blocked_s =
         TimeBest([&] { GramInto(a, &out, GemmParallelism::kSerial); });
     row.blocked_pool_s =
         TimeBest([&] { GramInto(a, &out, GemmParallelism::kPooled); });
-    std::printf("%-28s%12.4f%12.4f%12.4f%12.2f%12.2f\n",
+    std::printf("%-28s%12.4f%12.4f\n",
                 (std::to_string(m) + "x" + std::to_string(n)).c_str(),
-                row.seed_naive_s, row.blocked_s, row.blocked_pool_s,
-                row.seed_naive_s / row.blocked_s,
-                row.seed_naive_s / row.blocked_pool_s);
+                row.blocked_s, row.blocked_pool_s);
     rows->push_back(row);
   }
 }
@@ -242,14 +152,10 @@ void WriteJson(const std::vector<MatmulRow>& rows,
     std::fprintf(
         f,
         "    {\"kernel\": \"%s\", \"m\": %lld, \"k\": %lld, \"n\": %lld, "
-        "\"seed_naive_s\": %.6f, \"blocked_s\": %.6f, "
-        "\"blocked_pool_s\": %.6f, \"speedup_blocked\": %.3f, "
-        "\"speedup_pool\": %.3f}%s\n",
+        "\"blocked_s\": %.6f, \"blocked_pool_s\": %.6f}%s\n",
         r.kernel.c_str(), static_cast<long long>(r.m),
-        static_cast<long long>(r.k), static_cast<long long>(r.n),
-        r.seed_naive_s, r.blocked_s, r.blocked_pool_s,
-        r.seed_naive_s / r.blocked_s, r.seed_naive_s / r.blocked_pool_s,
-        i + 1 < rows.size() ? "," : "");
+        static_cast<long long>(r.k), static_cast<long long>(r.n), r.blocked_s,
+        r.blocked_pool_s, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -11,10 +11,8 @@
 // is not at least 2x the 1-thread arm; the bitwise/hash checks are enforced
 // regardless of core count, since oversubscribed pools still exercise the
 // full task decomposition.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,20 +31,7 @@ namespace {
 
 using namespace hdmm;
 
-double TimeBest(const std::function<void()>& fn, int min_reps = 3,
-                double min_total_s = 0.3) {
-  double best = 1e300;
-  double total = 0.0;
-  for (int rep = 0; rep < 20 && (rep < min_reps || total < min_total_s);
-       ++rep) {
-    WallTimer timer;
-    fn();
-    double t = timer.Seconds();
-    best = std::min(best, t);
-    total += t;
-  }
-  return best;
-}
+using hdmm_bench::TimeBest;
 
 bool SameBits(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&

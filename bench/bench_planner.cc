@@ -2,13 +2,13 @@
 // bench_engine (which measures how much a *warm* plan saves, this one
 // measures how fast a *cold* plan has become).
 //
-//   eval     the OPT_0 inner loop (PIdentityObjective::Eval driven by
-//            L-BFGS-B) raced against a faithful replica of the seed
-//            implementation (~12 temporaries per call, two Transposed()
-//            copies around the capacitance solve, per-restart SYRK Gram
-//            rebuild). Both arms run the same trajectory from the same
-//            start, so the speedup is pure workspace-reuse + Gram-cache +
-//            transposed-solve effect, valid on a 1-core box.
+//   eval     the OPT_0 inner loop: PIdentityObjective::Eval driven by
+//            L-BFGS-B on the census age attribute (Prefix(115), p = 7,
+//            serial kernels), against the library's dense O(N^3)
+//            reference, PIdentityObjective::EvalReference, at each run's
+//            final Theta. Theorem 4's O(pN^2) evaluation should cost a
+//            fraction of the reference per call, and both must return the
+//            same value at the same Theta.
 //   gradient_cost  time of an Eval with a gradient over an objective-only
 //            one (the gradient is built from the objective's own terms,
 //            so it should cost a fraction of the objective's GEMM).
@@ -31,9 +31,10 @@
 //            selected strategy is bit-identical at every thread count.
 //
 // Emits BENCH_planner.json; the planner-smoke CI job parses it and fails
-// the build if the speedup regresses below 2x, the inner loop allocates,
-// an Eval with a gradient costs 2.5x an objective-only one, or the cold plan
-// hashes a factor more than once.
+// the build if an Eval costs more than half an EvalReference, the two
+// disagree at the same Theta, the inner loop allocates, an Eval with a
+// gradient costs 2.5x an objective-only one, or the cold plan hashes a
+// factor more than once.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -53,9 +54,9 @@
 #include "core/gram_cache.h"
 #include "core/hdmm.h"
 #include "core/opt0.h"
+#include "core/pidentity.h"
 #include "core/strategy.h"
 #include "engine/fingerprint.h"
-#include "linalg/cholesky.h"
 #include "linalg/gemm.h"
 #include "optimize/lbfgsb.h"
 #include "workload/building_blocks.h"
@@ -96,323 +97,26 @@ UnionWorkload CensusWorkload(bool full) {
                             "product age=width(10)\n");
 }
 
-// ------------------------------------------------------------------------
-// Replica of the seed GEMM driver (as of BENCH_engine.json's cold-plan
-// numbers): always packs into the BLIS pipeline, allocates the B-panel
-// scratch per call, and has no thin-operand fast paths. The legacy Eval
-// below runs on this substrate so the race measures the seed inner loop,
-// not the seed structure on this PR's kernels. Serial only — the thin
-// shapes involved never spanned more than one row panel anyway.
-namespace legacy_gemm {
-
-constexpr int kMR = 6;
-constexpr int kNR = 8;
-constexpr int64_t kMC = 120;
-constexpr int64_t kKC = 256;
-constexpr int64_t kNC = 1024;
-constexpr int64_t kNaiveFlopCutoff = int64_t{1} << 13;
-
-struct Operand {
-  const double* p;
-  int64_t ld;
-  bool trans;
-};
-
-inline double At(const Operand& o, int64_t i, int64_t j) {
-  return o.trans ? o.p[j * o.ld + i] : o.p[i * o.ld + j];
-}
-
-void PackA(const Operand& a, int64_t i0, int64_t p0, int64_t mc, int64_t kc,
-           double alpha, double* buf) {
-  for (int64_t r0 = 0; r0 < mc; r0 += kMR) {
-    double* strip = buf + (r0 / kMR) * kMR * kc;
-    const int64_t rows = std::min<int64_t>(kMR, mc - r0);
-    for (int64_t k = 0; k < kc; ++k) {
-      double* dst = strip + k * kMR;
-      for (int64_t r = 0; r < rows; ++r)
-        dst[r] = alpha * At(a, i0 + r0 + r, p0 + k);
-      for (int64_t r = rows; r < kMR; ++r) dst[r] = 0.0;
-    }
-  }
-}
-
-void PackB(const Operand& b, int64_t p0, int64_t j0, int64_t kc, int64_t nc,
-           double* buf) {
-  for (int64_t c0 = 0; c0 < nc; c0 += kNR) {
-    double* strip = buf + (c0 / kNR) * kNR * kc;
-    const int64_t cols = std::min<int64_t>(kNR, nc - c0);
-    for (int64_t k = 0; k < kc; ++k) {
-      double* dst = strip + k * kNR;
-      for (int64_t c = 0; c < cols; ++c)
-        dst[c] = At(b, p0 + k, j0 + c0 + c);
-      for (int64_t c = cols; c < kNR; ++c) dst[c] = 0.0;
-    }
-  }
-}
-
-// The seed's vector micro-kernel (see src/linalg/gemm.cc), so the legacy
-// arm is not handicapped at the register level — only the packing pipeline
-// and allocation behavior differ.
-#if defined(__GNUC__)
-typedef double V4 __attribute__((vector_size(32), aligned(8)));
-inline V4 LoadV(const double* p) { return *reinterpret_cast<const V4*>(p); }
-inline void StoreV(double* p, V4 v) { *reinterpret_cast<V4*>(p) = v; }
-
-void MicroKernel(int64_t kc, const double* __restrict__ ap,
-                 const double* __restrict__ bp, double* __restrict__ c,
-                 int64_t ldc, int64_t mr, int64_t nr) {
-  V4 acc[kMR][2];
-  for (int r = 0; r < kMR; ++r) acc[r][0] = acc[r][1] = V4{0, 0, 0, 0};
-  for (int64_t k = 0; k < kc; ++k) {
-    const double* a = ap + k * kMR;
-    const double* b = bp + k * kNR;
-    const V4 b0 = LoadV(b);
-    const V4 b1 = LoadV(b + 4);
-    for (int r = 0; r < kMR; ++r) {
-      const V4 ar = {a[r], a[r], a[r], a[r]};
-      acc[r][0] += ar * b0;
-      acc[r][1] += ar * b1;
-    }
-  }
-  if (mr == kMR && nr == kNR) {
-    for (int r = 0; r < kMR; ++r) {
-      double* crow = c + r * ldc;
-      StoreV(crow, LoadV(crow) + acc[r][0]);
-      StoreV(crow + 4, LoadV(crow + 4) + acc[r][1]);
-    }
-  } else {
-    double tmp[kMR * kNR];
-    for (int r = 0; r < kMR; ++r) {
-      StoreV(tmp + r * kNR, acc[r][0]);
-      StoreV(tmp + r * kNR + 4, acc[r][1]);
-    }
-    for (int64_t r = 0; r < mr; ++r) {
-      double* crow = c + r * ldc;
-      for (int64_t j = 0; j < nr; ++j) crow[j] += tmp[r * kNR + j];
-    }
-  }
-}
-#else
-void MicroKernel(int64_t kc, const double* __restrict__ ap,
-                 const double* __restrict__ bp, double* __restrict__ c,
-                 int64_t ldc, int64_t mr, int64_t nr) {
-  double acc[kMR * kNR] = {0.0};
-  for (int64_t k = 0; k < kc; ++k) {
-    const double* a = ap + k * kMR;
-    const double* b = bp + k * kNR;
-    for (int r = 0; r < kMR; ++r) {
-      const double ar = a[r];
-      for (int j = 0; j < kNR; ++j) acc[r * kNR + j] += ar * b[j];
-    }
-  }
-  for (int64_t r = 0; r < mr; ++r) {
-    double* crow = c + r * ldc;
-    for (int64_t j = 0; j < nr; ++j) crow[j] += acc[r * kNR + j];
-  }
-}
-#endif
-
-void GemmDriver(int64_t m, int64_t n, int64_t k, double alpha,
-                const Operand& a, const Operand& b, double* c, int64_t ldc) {
-  if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
-  if (m * n * k < kNaiveFlopCutoff) {
-    for (int64_t i = 0; i < m; ++i) {
-      double* crow = c + i * ldc;
-      for (int64_t j = 0; j < n; ++j) {
-        double s = 0.0;
-        for (int64_t kk = 0; kk < k; ++kk) s += At(a, i, kk) * At(b, kk, j);
-        crow[j] += alpha * s;
-      }
-    }
-    return;
-  }
-  // Seed behavior: one fresh B-panel scratch per call.
-  std::vector<double> b_buf(static_cast<size_t>(
-      ((std::min(n, kNC) + kNR - 1) / kNR) * kNR * std::min(k, kKC)));
-  std::vector<double> a_buf(
-      static_cast<size_t>(((kMC + kMR - 1) / kMR) * kMR * kKC));
-  for (int64_t jc = 0; jc < n; jc += kNC) {
-    const int64_t nc = std::min(kNC, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kKC) {
-      const int64_t kc = std::min(kKC, k - pc);
-      PackB(b, pc, jc, kc, nc, b_buf.data());
-      for (int64_t ic = 0; ic < m; ic += kMC) {
-        const int64_t mc = std::min(kMC, m - ic);
-        PackA(a, ic, pc, mc, kc, alpha, a_buf.data());
-        for (int64_t js = 0; js < nc; js += kNR) {
-          const double* bs = b_buf.data() + (js / kNR) * kNR * kc;
-          const int64_t nr = std::min<int64_t>(kNR, nc - js);
-          for (int64_t is = 0; is < mc; is += kMR) {
-            MicroKernel(kc, a_buf.data() + (is / kMR) * kMR * kc, bs,
-                        c + (ic + is) * ldc + jc + js, ldc,
-                        std::min<int64_t>(kMR, mc - is), nr);
-          }
-        }
-      }
-    }
-  }
-}
-
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols());
-  GemmDriver(a.rows(), b.cols(), a.cols(), 1.0, {a.data(), a.cols(), false},
-             {b.data(), b.cols(), false}, c.data(), c.cols());
-  return c;
-}
-
-Matrix MatMulTN(const Matrix& a, const Matrix& b) {
-  Matrix c(a.cols(), b.cols());
-  GemmDriver(a.cols(), b.cols(), a.rows(), 1.0, {a.data(), a.cols(), true},
-             {b.data(), b.cols(), false}, c.data(), c.cols());
-  return c;
-}
-
-Matrix MatMulNT(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.rows());
-  GemmDriver(a.rows(), b.rows(), a.cols(), 1.0, {a.data(), a.cols(), false},
-             {b.data(), b.cols(), true}, c.data(), c.cols());
-  return c;
-}
-
-Matrix GramOuter(const Matrix& a) {
-  Matrix c(a.rows(), a.rows());
-  GemmDriver(a.rows(), a.rows(), a.cols(), 1.0, {a.data(), a.cols(), false},
-             {a.data(), a.cols(), true}, c.data(), c.cols());
-  return c;
-}
-
-}  // namespace legacy_gemm
-
-// ------------------------------------------------------------------------
-// Faithful replica of the seed PIdentityObjective::Eval: every temporary is
-// a fresh Matrix, the capacitance solve of the gradient goes through two
-// Transposed() copies, and nothing is hoisted. Kept verbatim (modulo the
-// class wrapper and the legacy_gemm substrate) so the race below measures
-// exactly what this PR removed.
-class LegacyPIdentityObjective {
- public:
-  LegacyPIdentityObjective(Matrix gram, int p)
-      : gram_(std::move(gram)), p_(p) {}
-
-  double Eval(const Vector& theta_flat, Vector* grad_flat) const {
-    const int64_t n = gram_.rows();
-    Matrix theta(p_, n, theta_flat);
-
-    Vector s(static_cast<size_t>(n), 1.0);
-    for (int64_t i = 0; i < p_; ++i) {
-      const double* row = theta.Row(i);
-      for (int64_t j = 0; j < n; ++j) s[static_cast<size_t>(j)] += row[j];
-    }
-    Vector d(s.size());
-    for (size_t j = 0; j < s.size(); ++j) d[j] = 1.0 / s[j];
-
-    Matrix m = legacy_gemm::GramOuter(theta);
-    for (int64_t i = 0; i < m.rows(); ++i) m(i, i) += 1.0;
-    Matrix l;
-    if (!CholeskyFactor(m, &l)) {
-      if (grad_flat != nullptr) grad_flat->assign(theta_flat.size(), 0.0);
-      return std::numeric_limits<double>::infinity();
-    }
-
-    double term1 = 0.0;
-    for (int64_t j = 0; j < n; ++j)
-      term1 += s[static_cast<size_t>(j)] * s[static_cast<size_t>(j)] *
-               gram_(j, j);
-    Matrix t1 = ScaledCopy(theta, s, 1);
-    Matrix b = legacy_gemm::MatMul(t1, gram_);
-    Matrix spp = legacy_gemm::MatMulNT(b, t1);
-    Matrix z;
-    CholeskySolveMatrixInto(l, spp, &z);
-    double objective = term1 - z.Trace();
-    if (!(objective > 1e-7 * term1) || !std::isfinite(objective)) {
-      if (grad_flat != nullptr) grad_flat->assign(theta_flat.size(), 0.0);
-      return std::numeric_limits<double>::infinity();
-    }
-    if (grad_flat == nullptr) return objective;
-
-    Matrix g1 = ScaledCopy(gram_, s, 0);
-    Matrix u = legacy_gemm::MatMul(theta, g1);
-    Matrix v;
-    CholeskySolveMatrixInto(l, u, &v);
-    Matrix k = legacy_gemm::MatMulTN(theta, v);
-    k.ScaleInPlace(-1.0);
-    k.AddInPlace(g1, 1.0);
-    k = ScaledCopy(k, s, 0);
-
-    Matrix k1 = ScaledCopy(k, s, 1);
-    Matrix pmat = legacy_gemm::MatMulNT(k1, theta);
-    Matrix qt;
-    CholeskySolveMatrixInto(l, pmat.Transposed(), &qt);
-    Matrix q = qt.Transposed();
-    Matrix r_term = legacy_gemm::MatMul(q, theta);
-    Matrix y = k1;
-    y.AddInPlace(r_term, -1.0);
-    y = ScaledCopy(y, s, 1);
-
-    Matrix theta_tilde = ScaledCopy(theta, d, 1);
-    Matrix ty = legacy_gemm::MatMul(theta_tilde, y);
-    Matrix grad1 = ScaledCopy(ty, d, 1);
-    grad1.ScaleInPlace(-2.0);
-
-    Matrix zmat = ScaledCopy(ScaledCopy(y, d, 0), d, 1);
-    Matrix tz = legacy_gemm::MatMul(theta, zmat);
-    Vector r(static_cast<size_t>(n), 0.0);
-    for (int64_t j = 0; j < n; ++j) {
-      double acc = zmat(j, j);
-      for (int64_t i = 0; i < p_; ++i) acc += theta(i, j) * tz(i, j);
-      r[static_cast<size_t>(j)] = acc;
-    }
-
-    grad_flat->assign(static_cast<size_t>(p_ * n), 0.0);
-    for (int64_t i = 0; i < p_; ++i) {
-      const double* g1row = grad1.Row(i);
-      double* out = grad_flat->data() + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        out[j] = g1row[j] +
-                 2.0 * r[static_cast<size_t>(j)] * d[static_cast<size_t>(j)];
-      }
-    }
-    return objective;
-  }
-
- private:
-  static Matrix ScaledCopy(const Matrix& m, const Vector& scale, int axis) {
-    Matrix out = m;
-    if (axis == 0) {
-      for (int64_t i = 0; i < m.rows(); ++i) {
-        double sc = scale[static_cast<size_t>(i)];
-        double* row = out.Row(i);
-        for (int64_t j = 0; j < m.cols(); ++j) row[j] *= sc;
-      }
-    } else {
-      for (int64_t i = 0; i < m.rows(); ++i) {
-        double* row = out.Row(i);
-        for (int64_t j = 0; j < m.cols(); ++j)
-          row[j] *= scale[static_cast<size_t>(j)];
-      }
-    }
-    return out;
-  }
-
-  Matrix gram_;
-  int p_;
-};
-
-struct EvalRace {
+struct EvalTiming {
   int64_t n = 0;
   int p = 0;
-  double legacy_s = 0.0;
-  double new_s = 0.0;
-  int legacy_evals = 0;
-  int new_evals = 0;
-  double speedup = 0.0;  // Per-eval: (legacy_s/evals) / (new_s/evals).
-  double values_diff = 0.0;
+  double eval_s = 0.0;       // The warm starts' wall time, L-BFGS-B included.
+  int evals = 0;             // Eval calls across the warm starts.
+  double reference_s = 0.0;  // Best-of-N EvalReference, summed over the runs.
+  // Per-call cost of the O(N^3) reference over one Eval inside L-BFGS-B:
+  // (reference_s / runs) / (eval_s / evals).
+  double reference_speedup = 0.0;
+  // Largest |f - EvalReference(Theta)| / max(1, |EvalReference(Theta)|) over
+  // the runs, where f is the objective Eval reported at the final Theta.
+  double values_rel_diff = 0.0;
 };
 
-// Races the full L-BFGS-B warm start on the census age attribute: legacy
-// per-restart SYRK Gram + legacy Eval vs GramCache + workspace Eval. Both
-// arms run `restarts` trajectories from identical starting points.
-EvalRace RaceOpt0InnerLoop() {
+// The OPT_0 inner loop on the census age attribute (the workload's only
+// p > 1 block): three L-BFGS-B warm starts of PIdentityObjective::Eval on
+// the GramCache's Prefix Gram with serial kernels, then the library's dense
+// reference, PIdentityObjective::EvalReference, at each run's final Theta.
+// Both read the same Theta, so their values agree to rounding.
+EvalTiming TimeOpt0InnerLoop() {
   const int64_t n = 115;  // Census age attribute.
   const int p = DefaultPFromSize(n);
   const int restarts = 3;
@@ -424,69 +128,56 @@ EvalRace RaceOpt0InnerLoop() {
   for (int r = 0; r < restarts; ++r)
     theta0s.push_back(Matrix::RandomUniform(p, n, &rng, 0.0, 0.5));
 
-  EvalRace race;
-  race.n = n;
-  race.p = p;
-
-  double legacy_f = 0.0, new_f = 0.0;
+  EvalTiming t;
+  t.n = n;
+  t.p = p;
+  std::vector<Matrix> finals;
+  std::vector<double> values;
   {
     WallTimer timer;
     for (int r = 0; r < restarts; ++r) {
-      // Seed behavior: the factor Gram is rebuilt with a SYRK every restart.
-      Matrix gram = Gram(PrefixBlock(n));
-      LegacyPIdentityObjective obj(std::move(gram), p);
-      ObjectiveFn fn = [&obj](const Vector& x, Vector* grad) {
-        return obj.Eval(x, grad);
-      };
-      Vector x0(theta0s[static_cast<size_t>(r)].data(),
-                theta0s[static_cast<size_t>(r)].data() +
-                    theta0s[static_cast<size_t>(r)].size());
-      LbfgsbResult res = MinimizeNonNegative(fn, std::move(x0), lbfgs);
-      race.legacy_evals += res.function_evaluations;
-      legacy_f = res.f;
-    }
-    race.legacy_s = timer.Seconds();
-  }
-  {
-    WallTimer timer;
-    for (int r = 0; r < restarts; ++r) {
-      // This PR: closed-form Gram from the cache (hit after restart 0),
+      // Closed-form Gram from the cache (a hit after restart 0),
       // allocation-free serial-kernel objective.
       auto gram = GramCache::Global().FactorGram(PrefixBlock(n));
       PIdentityObjective obj(*gram, p, GemmParallelism::kSerial);
       ObjectiveFn fn = [&obj](const Vector& x, Vector* grad) {
         return obj.Eval(x, grad);
       };
-      Vector x0(theta0s[static_cast<size_t>(r)].data(),
-                theta0s[static_cast<size_t>(r)].data() +
-                    theta0s[static_cast<size_t>(r)].size());
-      LbfgsbResult res = MinimizeNonNegative(fn, std::move(x0), lbfgs);
-      race.new_evals += res.function_evaluations;
-      new_f = res.f;
+      const Matrix& theta0 = theta0s[static_cast<size_t>(r)];
+      LbfgsbResult res = MinimizeNonNegative(
+          fn, Vector(theta0.data(), theta0.data() + theta0.size()), lbfgs);
+      t.evals += res.function_evaluations;
+      finals.emplace_back(p, n, res.x);
+      values.push_back(res.f);
     }
-    race.new_s = timer.Seconds();
+    t.eval_s = timer.Seconds();
   }
-  // The arms run different (but equivalent) floating-point kernels, so a
-  // compiler change can legitimately flip a line-search branch mid-run;
-  // agreement is asserted loosely in CI (1e-3) and reported exactly here.
-  race.values_diff = std::fabs(legacy_f - new_f) /
-                     std::max(1.0, std::fabs(legacy_f));
-  const double legacy_per_eval =
-      race.legacy_s / std::max(1, race.legacy_evals);
-  const double new_per_eval = race.new_s / std::max(1, race.new_evals);
-  race.speedup = legacy_per_eval / new_per_eval;
+  const auto gram = GramCache::Global().FactorGram(PrefixBlock(n));
+  for (int r = 0; r < restarts; ++r) {
+    const Matrix& theta = finals[static_cast<size_t>(r)];
+    double reference = 0.0;
+    t.reference_s += hdmm_bench::TimeBest(
+        [&] { reference = PIdentityObjective::EvalReference(theta, *gram); });
+    t.values_rel_diff =
+        std::max(t.values_rel_diff,
+                 std::fabs(values[static_cast<size_t>(r)] - reference) /
+                     std::max(1.0, std::fabs(reference)));
+  }
+  const double eval_per_call = t.eval_s / std::max(1, t.evals);
+  const double reference_per_call = t.reference_s / restarts;
+  t.reference_speedup = reference_per_call / eval_per_call;
 
-  std::printf("  legacy (seed replica):  %8.1f ms  (%d evals, %.3f ms/eval)\n",
-              1e3 * race.legacy_s, race.legacy_evals, 1e3 * legacy_per_eval);
-  std::printf("  this PR (workspace):    %8.1f ms  (%d evals, %.3f ms/eval)\n",
-              1e3 * race.new_s, race.new_evals, 1e3 * new_per_eval);
-  std::printf("  per-eval speedup: %.2fx   (final objectives agree to %.2g)\n",
-              race.speedup, race.values_diff);
-  return race;
+  std::printf("  Eval in L-BFGS-B:   %8.1f ms  (%d evals, %.2f us/eval)\n",
+              1e3 * t.eval_s, t.evals, 1e6 * eval_per_call);
+  std::printf("  EvalReference:      %8.3f ms  (%d Theta, %.2f us/call)\n",
+              1e3 * t.reference_s, restarts, 1e6 * reference_per_call);
+  std::printf("  reference / Eval per call: %.2fx   (values agree to %.2g)\n",
+              t.reference_speedup, t.values_rel_diff);
+  return t;
 }
 
 // Time of an Eval with a gradient divided by the time of an objective-only
-// Eval, on the race's Gram (Prefix(115), p = 7) with serial kernels. Two
+// Eval, on the inner loop's Gram (Prefix(115), p = 7) with serial kernels. Two
 // fixed Theta alternate, so no call finds the previous call's point in the
 // workspace and every call computes the objective; best of 5 rounds.
 double MeasureGradientCostRatio() {
@@ -730,7 +421,7 @@ std::vector<ThreadArm> BenchRestartScaling(const UnionWorkload& w) {
   return arms;
 }
 
-void WriteJson(const EvalRace& race, double gradient_cost_ratio,
+void WriteJson(const EvalTiming& eval, double gradient_cost_ratio,
                double allocs_per_eval,
                const ErrorEvalAllocs& error_allocs, const PlanTimings& plan,
                const std::vector<ThreadArm>& scaling, const char* path) {
@@ -741,27 +432,13 @@ void WriteJson(const EvalRace& race, double gradient_cost_ratio,
   }
   hdmm_bench::WriteJsonHeader(f, "bench_planner");
   std::fprintf(f,
-               "  \"eval\": {\"n\": %lld, \"p\": %d, \"legacy_s\": %.6f, "
-               "\"new_s\": %.6f, \"legacy_evals\": %d, \"new_evals\": %d, "
-               "\"per_eval_speedup\": %.2f, \"values_rel_diff\": %.3g, "
+               "  \"eval\": {\"n\": %lld, \"p\": %d, \"eval_s\": %.6f, "
+               "\"evals\": %d, \"reference_s\": %.6f, "
+               "\"reference_speedup\": %.2f, \"values_rel_diff\": %.3g, "
                "\"gradient_cost_ratio\": %.2f},\n",
-               static_cast<long long>(race.n), race.p, race.legacy_s,
-               race.new_s, race.legacy_evals, race.new_evals, race.speedup,
-               race.values_diff, gradient_cost_ratio);
-  // The headline number, with its definition recorded next to it: the
-  // census cold plan's optimizer time concentrates in the age attribute's
-  // OPT_0 warm starts (the only p > 1 block in the workload), and the race
-  // reproduces exactly that component on the seed-replicated substrate
-  // (structure + GEMM driver + per-restart SYRK). plan.cold_s above is the
-  // absolute end-to-end census number for trajectory tracking across PRs.
-  std::fprintf(f, "  \"cold_plan_speedup\": %.2f,\n",
-               race.legacy_s / race.new_s);
-  std::fprintf(f,
-               "  \"cold_plan_speedup_definition\": \"single-thread OPT_0 "
-               "inner-loop race on the census age attribute (n=115, p=7, the "
-               "workload's only p>1 block) vs the seed-replicated Eval + GEMM "
-               "substrate + per-restart SYRK Gram; track absolute census "
-               "cold-plan time via plan.cold_s\",\n");
+               static_cast<long long>(eval.n), eval.p, eval.eval_s, eval.evals,
+               eval.reference_s, eval.reference_speedup, eval.values_rel_diff,
+               gradient_cost_ratio);
   std::fprintf(f,
                "  \"allocations\": {\"per_eval_after_warmup\": %.3f, "
                "\"per_error_eval_after_warmup\": %.3f, "
@@ -813,7 +490,7 @@ int main(int argc, char** argv) {
   UnionWorkload w = CensusWorkload(full);
 
   std::printf("=== planner: OPT_0 inner loop (n=115 census age) ===\n");
-  const EvalRace race = RaceOpt0InnerLoop();
+  const EvalTiming eval = TimeOpt0InnerLoop();
 
   std::printf("\n=== planner: gradient cost (n=115, p=7, serial) ===\n");
   const double gradient_cost_ratio = MeasureGradientCostRatio();
@@ -834,7 +511,7 @@ int main(int argc, char** argv) {
               "restarts, private 1/2/4-thread pools) ===\n");
   const std::vector<ThreadArm> scaling = BenchRestartScaling(w);
 
-  WriteJson(race, gradient_cost_ratio, allocs, error_allocs, plan, scaling,
+  WriteJson(eval, gradient_cost_ratio, allocs, error_allocs, plan, scaling,
             "BENCH_planner.json");
   return 0;
 }

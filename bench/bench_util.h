@@ -5,14 +5,17 @@
 #ifndef HDMM_BENCH_BENCH_UTIL_H_
 #define HDMM_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "linalg/gemm.h"
 
 namespace hdmm_bench {
@@ -23,6 +26,24 @@ inline bool FullScale(int argc, char** argv) {
     if (std::strcmp(argv[i], "--full") == 0) return true;
   }
   return false;
+}
+
+/// Best-of-N wall seconds of `fn`: at least `min_reps` calls, more until
+/// `min_total_s` has elapsed (to get past timer noise on fast kernels), at
+/// most 20.
+inline double TimeBest(const std::function<void()>& fn, int min_reps = 3,
+                       double min_total_s = 0.3) {
+  double best = 1e300;
+  double total = 0.0;
+  for (int rep = 0; rep < 20 && (rep < min_reps || total < min_total_s);
+       ++rep) {
+    hdmm::WallTimer timer;
+    fn();
+    const double t = timer.Seconds();
+    best = std::min(best, t);
+    total += t;
+  }
+  return best;
 }
 
 /// Prints a header banner for one experiment.
