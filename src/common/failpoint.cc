@@ -5,6 +5,8 @@
 
 #include "common/log.h"
 
+#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -54,13 +56,13 @@ double NextUniform(uint64_t* state) {
   return static_cast<double>(z >> 11) * (1.0 / 9007199254740992.0);
 }
 
+// Digits only: no whitespace, no sign, and a value that overflows uint64_t
+// is rejected rather than clamped (strtoull would wrap "-1" to 2^64 - 1, a
+// threshold that never fires).
 bool ParseUint(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 bool ParseMode(const std::string& mode, Point* out, std::string* error) {
@@ -92,8 +94,10 @@ bool ParseMode(const std::string& mode, Point* out, std::string* error) {
     out->mode = Mode::kProb;
     char* end = nullptr;
     out->p = std::strtod(arg.c_str(), &end);
-    if (arg.empty() || end != arg.c_str() + arg.size() || out->p < 0.0 ||
-        out->p > 1.0) {
+    // strtod skips leading whitespace; NaN fails every comparison, so the
+    // range test is written to reject it.
+    if (arg.empty() || std::isspace(static_cast<unsigned char>(arg[0])) ||
+        end != arg.c_str() + arg.size() || !(out->p >= 0.0 && out->p <= 1.0)) {
       return fail("wants :P in [0, 1]");
     }
     return true;

@@ -171,6 +171,16 @@ TEST_F(FailpointTest, MalformedSpecsAreRejectedWithAReason) {
   EXPECT_FALSE(Failpoints::Activate("test.p", "warble", &error));
   EXPECT_NE(error.find("unknown mode"), std::string::npos);
   EXPECT_FALSE(Failpoints::Activate("", "always", &error));
+  // Counts are digits only: a sign, a space or an overflowing value would
+  // otherwise wrap or clamp to a threshold that never fires, and NaN or a
+  // padded probability is not a probability.
+  for (const char* mode :
+       {"nth:-1", "nth: 3", "times:+2", "nth:99999999999999999999",
+        "after:-5", "crash:-1", "prob:nan", "prob: 0.5"}) {
+    error.clear();
+    EXPECT_FALSE(Failpoints::Activate("test.p", mode, &error)) << mode;
+    EXPECT_NE(error.find("bad failpoint mode"), std::string::npos) << mode;
+  }
   // None of the rejected specs left a point behind.
   EXPECT_FALSE(Failpoints::Enabled());
 }
