@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -91,16 +92,28 @@ TEST(Metrics, ConcurrentRecordingMergesExactly) {
 
 TEST(Metrics, ConcurrentSnapshotsDoNotBlockWriters) {
   Counter* c = Metrics::GetCounter("test.counter.snapshot_race");
+  std::atomic<bool> started{false};
   std::atomic<bool> stop{false};
   std::thread writer([&] {
+    c->Add(1);
+    started.store(true, std::memory_order_release);
     while (!stop.load(std::memory_order_relaxed)) c->Add(1);
   });
-  for (int i = 0; i < 100; ++i) {
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  // At least 100 snapshots, and more until the writer has added past this
+  // reading (capped at 10 s), so the writer provably ran during them.
+  const uint64_t before = c->Value();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int i = 0; i < 100 || (c->Value() <= before &&
+                              std::chrono::steady_clock::now() < deadline);
+       ++i) {
     (void)Metrics::Snapshot();  // Must not tear, deadlock, or race (TSan).
   }
+  const uint64_t after = c->Value();
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-  EXPECT_GT(c->Value(), 0u);
+  EXPECT_GT(after, before);
 }
 
 TEST(Metrics, HistogramPercentilesOrderedAndBracketed) {
