@@ -11,6 +11,13 @@
 #include "workload/building_blocks.h"
 
 namespace hdmm {
+namespace {
+
+// A block-cyclic pass that improves the error by at most this fraction
+// ends the run.
+constexpr double kCycleTol = 1e-4;
+
+}  // namespace
 
 int AttributeDefaultP(const UnionWorkload& w, const std::vector<int>& products,
                       int attribute) {
@@ -178,7 +185,7 @@ OptKronResult OptKron(const UnionWorkload& w, const std::vector<int>& products,
       refresh_traces(i);
     }
     double new_err = total_error();
-    if (err - new_err <= options.cycle_tol * std::fabs(err)) {
+    if (err - new_err <= kCycleTol * std::fabs(err)) {
       err = new_err;
       break;
     }

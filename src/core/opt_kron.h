@@ -18,8 +18,7 @@ struct OptKronOptions {
   /// Per-attribute p; empty = the Section 7.1 convention (1 for T/I-only
   /// attributes, n_i/16 otherwise).
   std::vector<int> p;
-  int max_cycles = 8;       ///< Block-cyclic passes over the attributes.
-  double cycle_tol = 1e-4;  ///< Relative improvement stopping threshold.
+  int max_cycles = 8;  ///< Block-cyclic passes over the attributes.
   LbfgsbOptions lbfgs;
 };
 

@@ -29,18 +29,13 @@ uint64_t HashProduct(const UnionWorkload& w, int j) {
 
 void HashLbfgs(WordHasher* h, const LbfgsbOptions& o) {
   h->I32(o.max_iterations);
-  h->I32(o.history);
   h->F64(o.pg_tolerance);
-  h->F64(o.f_tolerance);
-  h->I32(o.max_line_search);
-  h->F64(o.armijo_c1);
 }
 
 void HashKronOptions(WordHasher* h, const OptKronOptions& o) {
   h->I64(static_cast<int64_t>(o.p.size()));
   for (int p : o.p) h->I32(p);
   h->I32(o.max_cycles);
-  h->F64(o.cycle_tol);
   HashLbfgs(h, o.lbfgs);
 }
 
@@ -78,10 +73,11 @@ Fingerprint FingerprintWorkload(const UnionWorkload& w) {
 Fingerprint FingerprintPlan(const UnionWorkload& w,
                             const HdmmOptions& options) {
   WordHasher h;
-  // Format tag "hdmmp3": bumped when the hashed option set changes (hdmmp2
-  // also hashed the operators' own restart counts), so a disk cache written
-  // under an older tag is re-planned once instead of misread.
-  h.U64(0x68646d6d70330000ULL);
+  // Format tag "hdmmp4": bumped when the hashed option set changes (hdmmp2
+  // also hashed the operators' own restart counts, hdmmp3 four L-BFGS-B
+  // constants and OPT_x's cycle tolerance), so a disk cache written under
+  // an older tag is re-planned once instead of misread.
+  h.U64(0x68646d6d70340000ULL);
   h.U64(FingerprintWorkload(w).value);
   h.I32(options.restarts);
   h.Bool(options.use_kron);

@@ -26,6 +26,11 @@
 namespace hdmm {
 namespace {
 
+constexpr size_t kHistory = 10;       // (s, y) correction pairs kept.
+constexpr double kFTolerance = 1e-10; // Stop on relative objective change.
+constexpr int kMaxLineSearch = 30;    // Backtracking steps per iteration.
+constexpr double kArmijoC1 = 1e-4;    // Sufficient-decrease constant.
+
 void ClampToBox(const Vector& lower, const Vector& upper, Vector* x) {
   for (size_t i = 0; i < x->size(); ++i) {
     if ((*x)[i] < lower[i]) (*x)[i] = lower[i];
@@ -157,7 +162,7 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
     double step = 1.0;
     bool accepted = false;
     double f_new = fx;
-    for (int ls = 0; ls < options.max_line_search; ++ls) {
+    for (int ls = 0; ls < kMaxLineSearch; ++ls) {
       for (size_t i = 0; i < n; ++i) x_new[i] = result.x[i] + step * d[i];
       ClampToBox(lower, upper, &x_new);
       // Trials need only the objective: most are rejected, and the gradient
@@ -169,7 +174,7 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
       for (size_t i = 0; i < n; ++i)
         decrease += g[i] * (x_new[i] - result.x[i]);
       if (std::isfinite(f_new) &&
-          f_new <= fx + options.armijo_c1 * decrease) {
+          f_new <= fx + kArmijoC1 * decrease) {
         accepted = true;
         break;
       }
@@ -198,7 +203,7 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
     if (sy > 1e-10 * std::sqrt(ss * yy) && sy > 0.0) {
       c.rho = 1.0 / sy;
       hist.push_back(std::move(c));
-      if (static_cast<int>(hist.size()) > options.history) hist.pop_front();
+      if (hist.size() > kHistory) hist.pop_front();
     }
 
     double f_prev = fx;
@@ -207,7 +212,7 @@ LbfgsbResult MinimizeLbfgsb(const ObjectiveFn& f, Vector x0,
     fx = f_new;
     result.f = fx;
     if (std::fabs(f_prev - fx) <=
-        options.f_tolerance * std::max(1.0, std::fabs(f_prev))) {
+        kFTolerance * std::max(1.0, std::fabs(f_prev))) {
       result.converged = true;
       break;
     }

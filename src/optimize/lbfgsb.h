@@ -23,11 +23,7 @@ using ObjectiveFn = std::function<double(const Vector& x, Vector* grad)>;
 /// Options controlling the optimizer.
 struct LbfgsbOptions {
   int max_iterations = 400;
-  int history = 10;           ///< Number of (s, y) correction pairs kept.
   double pg_tolerance = 1e-6; ///< Stop when ||projected gradient||_inf small.
-  double f_tolerance = 1e-10; ///< Stop on relative objective improvement.
-  int max_line_search = 30;   ///< Backtracking steps per iteration.
-  double armijo_c1 = 1e-4;
   /// Polled once per iteration; when signalled the run stops early with
   /// `stopped = true` and the best iterate so far. Not owned; may be null.
   /// Excluded from plan fingerprints (they hash the numeric fields only).
