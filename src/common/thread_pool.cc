@@ -1,10 +1,13 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/check.h"
+#include "common/log.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 
@@ -25,13 +28,19 @@ std::atomic<ThreadPool*> g_compute_pool_override{nullptr};
 int GlobalThreadCount() {
   const int requested = g_requested_threads.load(std::memory_order_acquire);
   if (requested >= 1) return requested;
-  // HDMM_THREADS is the documented knob (mirrors the CLI's --threads);
-  // HDMM_NUM_THREADS is kept as the original spelling.
-  for (const char* name : {"HDMM_THREADS", "HDMM_NUM_THREADS"}) {
-    if (const char* env = std::getenv(name)) {
-      int n = std::atoi(env);
-      if (n >= 1) return n;
-    }
+  // HDMM_THREADS mirrors the CLI's --threads. Set, it must be a whole
+  // positive int: "4x" is a typo, not 4 threads, and a value past INT_MAX
+  // does not wrap. Anything else is reported once and ignored.
+  const char* env = std::getenv("HDMM_THREADS");
+  if (env != nullptr && *env != '\0') {
+    const char* end = env + std::strlen(env);
+    int n = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, n);
+    if (ec == std::errc() && ptr == end && n >= 1) return n;
+    HDMM_LOG(Warn,
+             "HDMM_THREADS=%s is not a positive whole number; sizing the "
+             "pool from the hardware",
+             env);
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

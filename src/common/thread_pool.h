@@ -51,9 +51,10 @@ class ThreadPool {
   static bool InWorker();
 
   /// Process-wide shared pool. Sized, in priority order, from
-  /// SetGlobalThreads, the HDMM_THREADS / HDMM_NUM_THREADS environment
-  /// variables (total thread count, caller included), or
-  /// std::thread::hardware_concurrency(). Never destroyed.
+  /// SetGlobalThreads, the HDMM_THREADS environment variable (total thread
+  /// count, caller included; a value that is not a positive whole number is
+  /// warned about and ignored), or std::thread::hardware_concurrency().
+  /// Never destroyed.
   static ThreadPool& Global();
 
   /// Pins the global pool's total thread count (callers of Global() see
