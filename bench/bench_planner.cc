@@ -131,8 +131,7 @@ EvalTiming TimeOpt0InnerLoop() {
   EvalTiming t;
   t.n = n;
   t.p = p;
-  std::vector<Matrix> finals;
-  std::vector<double> values;
+  std::vector<LbfgsbResult> runs;
   {
     WallTimer timer;
     for (int r = 0; r < restarts; ++r) {
@@ -147,21 +146,19 @@ EvalTiming TimeOpt0InnerLoop() {
       LbfgsbResult res = MinimizeNonNegative(
           fn, Vector(theta0.data(), theta0.data() + theta0.size()), lbfgs);
       t.evals += res.function_evaluations;
-      finals.emplace_back(p, n, res.x);
-      values.push_back(res.f);
+      runs.push_back(std::move(res));
     }
     t.eval_s = timer.Seconds();
   }
   const auto gram = GramCache::Global().FactorGram(PrefixBlock(n));
-  for (int r = 0; r < restarts; ++r) {
-    const Matrix& theta = finals[static_cast<size_t>(r)];
+  for (const LbfgsbResult& run : runs) {
+    const Matrix theta(p, n, run.x);
     double reference = 0.0;
     t.reference_s += hdmm_bench::TimeBest(
         [&] { reference = PIdentityObjective::EvalReference(theta, *gram); });
-    t.values_rel_diff =
-        std::max(t.values_rel_diff,
-                 std::fabs(values[static_cast<size_t>(r)] - reference) /
-                     std::max(1.0, std::fabs(reference)));
+    t.values_rel_diff = std::max(t.values_rel_diff,
+                                 std::fabs(run.f - reference) /
+                                     std::max(1.0, std::fabs(reference)));
   }
   const double eval_per_call = t.eval_s / std::max(1, t.evals);
   const double reference_per_call = t.reference_s / restarts;
