@@ -33,7 +33,7 @@ void PrintRow(const FactorRow& r) {
 }
 
 void BenchCholesky(bool full, std::vector<FactorRow>* rows) {
-  hdmm_bench::Banner("Cholesky factorization", "blocked right-looking");
+  hdmm_bench::Banner("Cholesky factorization (blocked right-looking)");
   std::vector<int64_t> sizes = {256, 512, 1024};
   if (full) sizes.push_back(2048);
   Rng rng(1);
@@ -51,8 +51,8 @@ void BenchCholesky(bool full, std::vector<FactorRow>* rows) {
 }
 
 void BenchEigen(bool full, std::vector<FactorRow>* rows) {
-  hdmm_bench::Banner("Symmetric eigendecomposition",
-                     "Householder tridiag + QL");
+  hdmm_bench::Banner(
+      "Symmetric eigendecomposition (Householder tridiagonalization + QL)");
   std::vector<int64_t> sizes = {256, 512};
   if (full) sizes.push_back(1024);
   Rng rng(2);
@@ -70,7 +70,7 @@ void BenchEigen(bool full, std::vector<FactorRow>* rows) {
 }
 
 void BenchTracePinvGram(bool full, std::vector<FactorRow>* rows) {
-  hdmm_bench::Banner("TracePinvGram end-to-end", "blocked multi-RHS path");
+  hdmm_bench::Banner("TracePinvGram end-to-end (blocked multi-RHS path)");
   std::vector<int64_t> sizes = {256, 512, 1024};
   if (full) sizes.push_back(2048);
   Rng rng(3);

@@ -45,8 +45,8 @@ struct ScalePoint {
 };
 
 void BenchMatmulSection(bool full, std::vector<MatmulRow>* rows) {
-  hdmm_bench::Banner("GEMM / Gram kernels",
-                     "blocked SYRK/GEMM substrate, serial and pooled");
+  hdmm_bench::Banner(
+      "GEMM / Gram kernels (blocked SYRK/GEMM substrate, serial and pooled)");
   std::vector<int64_t> sizes = {256, 512, 1024};
   if (full) sizes.push_back(2048);
 
@@ -92,8 +92,8 @@ void BenchMatmulSection(bool full, std::vector<MatmulRow>* rows) {
 // the JSON's host_cores field lets validators tell that apart from a real
 // scaling regression.
 void BenchThreadScalingSection(std::vector<ScalePoint>* points) {
-  hdmm_bench::Banner("GEMM thread scaling",
-                     "pooled 1024^3 on private 1/2/4/8-thread pools");
+  hdmm_bench::Banner(
+      "GEMM thread scaling (pooled 1024^3 on private 1/2/4/8-thread pools)");
   const int64_t n = 1024;
   Rng rng(7);
   Matrix a = Matrix::RandomUniform(n, n, &rng, -1.0, 1.0);
@@ -163,7 +163,7 @@ void WriteJson(const std::vector<MatmulRow>& rows,
 }
 
 void BenchKronSection() {
-  hdmm_bench::Banner("Kronecker mat-vec", "Appendix A.5 kmatvec");
+  hdmm_bench::Banner("Kronecker mat-vec (Appendix A.5 kmatvec)");
   Rng rng(1);
   for (int64_t n : {32, 64, 128}) {
     Matrix a = Matrix::RandomUniform(n, n, &rng);
@@ -177,7 +177,7 @@ void BenchKronSection() {
 }
 
 void BenchPIdentitySection() {
-  hdmm_bench::Banner("p-Identity objective", "Theorem 4 gradient evaluation");
+  hdmm_bench::Banner("p-Identity objective (Theorem 4 gradient evaluation)");
   Rng rng(2);
   for (int64_t n : {64, 128, 256}) {
     const int p = static_cast<int>(std::max<int64_t>(1, n / 16));
@@ -203,7 +203,7 @@ void BenchPIdentitySection() {
 }
 
 void BenchSolversSection() {
-  hdmm_bench::Banner("Direct / iterative solvers", "Cholesky and LSMR");
+  hdmm_bench::Banner("Direct / iterative solvers (Cholesky and LSMR)");
   for (int64_t n : {64, 256}) {
     Matrix gram = PrefixGram(n);
     Matrix l;

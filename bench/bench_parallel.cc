@@ -112,8 +112,7 @@ void WriteJson(const std::vector<Arm>& arms, const char* path) {
 int main(int argc, char** argv) {
   (void)argc;
   (void)argv;
-  hdmm_bench::Banner("Multi-core scaling: GEMM / Cholesky / restart fan-out",
-                     "Section 9 parallelization; determinism per PR 5/7");
+  hdmm_bench::Banner("Multi-core scaling: GEMM / Cholesky / restart fan-out");
 
   const int64_t n = 1024;
   Rng rng(11);

@@ -221,8 +221,9 @@ void RunMarginalConfig(const char* dataset, const char* workload_name,
 
 int main(int argc, char** argv) {
   bool full = hdmm_bench::FullScale(argc, argv);
-  hdmm_bench::Banner("Table 3: error ratios across datasets and workloads",
-                     "Table 3 of McKenna et al. 2018 (epsilon = 1)");
+  hdmm_bench::RatioBanner(
+      "Table 3: error ratios across datasets and workloads",
+      "Table 3 of McKenna et al. 2018 (epsilon = 1)");
   hdmm_bench::PrintHeader("configuration", kColumns);
 
   // ---- Patent (1D). Paper scale 1024; default 256.

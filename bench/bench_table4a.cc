@@ -48,8 +48,8 @@ void RunConfig(const char* workload_name, const Matrix& gram, int64_t n) {
 
 int main(int argc, char** argv) {
   bool full = hdmm_bench::FullScale(argc, argv);
-  hdmm_bench::Banner("Table 4a: 1D workloads, error ratios vs HDMM",
-                     "Table 4(a) of McKenna et al. 2018");
+  hdmm_bench::RatioBanner("Table 4a: 1D workloads, error ratios vs HDMM",
+                          "Table 4(a) of McKenna et al. 2018");
   hdmm_bench::PrintHeader("workload",
                           {"Identity", "Wavelet", "HB", "GreedyH", "HDMM"});
 

@@ -55,8 +55,8 @@ void RunConfig(const char* name, const UnionWorkload& w, int64_t n) {
 
 int main(int argc, char** argv) {
   bool full = hdmm_bench::FullScale(argc, argv);
-  hdmm_bench::Banner("Table 4b: 2D workloads, error ratios vs HDMM",
-                     "Table 4(b) of McKenna et al. 2018");
+  hdmm_bench::RatioBanner("Table 4b: 2D workloads, error ratios vs HDMM",
+                          "Table 4(b) of McKenna et al. 2018");
   hdmm_bench::PrintHeader("workload",
                           {"Identity", "Wavelet", "HB", "QuadTree", "HDMM"});
 

@@ -46,8 +46,20 @@ inline double TimeBest(const std::function<void()>& fn, int min_reps = 3,
   return best;
 }
 
-/// Prints a header banner for one experiment.
+/// Prints a header banner for one kernel benchmark (no paper figure).
+inline void Banner(const std::string& title) {
+  std::printf("\n=== %s ===\n\n", title.c_str());
+}
+
+/// Prints a header banner for one experiment that reproduces `paper_ref`.
 inline void Banner(const std::string& title, const std::string& paper_ref) {
+  std::printf("\n=== %s ===\n(reproduces %s)\n\n", title.c_str(),
+              paper_ref.c_str());
+}
+
+/// Banner for a table whose rows are error ratios against HDMM.
+inline void RatioBanner(const std::string& title,
+                        const std::string& paper_ref) {
   std::printf("\n=== %s ===\n", title.c_str());
   std::printf("(reproduces %s; error ratios are sqrt(Err_other/Err_HDMM), "
               "epsilon-independent)\n\n",

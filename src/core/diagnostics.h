@@ -2,10 +2,10 @@
 // health checks. A strategy A supports a workload W iff every workload query
 // is a linear combination of strategy queries — W A^+ A = W — which the
 // optimizers guarantee by construction (p-Identity strategies contain a
-// scaled identity; M(theta) requires theta_full > 0) but user-supplied or
-// deserialized strategies may violate. Reconstruction against a
-// non-supporting strategy silently produces biased answers, so deployments
-// should gate on these checks.
+// scaled identity; OPT_M keeps theta_full >= min_full_weight) but
+// user-supplied or deserialized strategies may violate. Reconstruction
+// against a non-supporting strategy silently produces biased answers, so
+// deployments should gate on these checks.
 #ifndef HDMM_CORE_DIAGNOSTICS_H_
 #define HDMM_CORE_DIAGNOSTICS_H_
 
@@ -26,8 +26,10 @@ bool SupportsWorkloadExplicit(const Matrix& w, const Matrix& a,
 /// * KronStrategy: exact per-factor reduction — a product workload
 ///   W_1 x ... x W_d is supported iff rowspace(W_i) <= rowspace(A_i) for
 ///   every i, so each factor is checked explicitly at per-attribute cost.
-/// * MarginalsStrategy: supported iff theta on the full marginal is
-///   positive (M then spans the full contingency table).
+/// * MarginalsStrategy: supported when theta on the full marginal is
+///   positive (M then spans the full contingency table). That is sufficient,
+///   not necessary: M(theta) supports W iff a_U > 0 wherever gamma_U > 0
+///   (MarginalsAlgebra), i.e. iff its SquaredError is finite.
 /// * ExplicitStrategy: direct check (requires modest N).
 /// * UnionKronStrategy: per-group check of the group's products against the
 ///   group's part (the Definition 11 inference convention).

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
-#include "linalg/cholesky.h"
 
 namespace hdmm {
 
@@ -25,69 +23,77 @@ MarginalsAlgebra::MarginalsAlgebra(std::vector<int64_t> attr_sizes)
   }
 }
 
-Matrix MarginalsAlgebra::BuildX(const Vector& u) const {
+Vector MarginalsAlgebra::Eigenvalues(const Vector& theta) const {
   const uint32_t masks = num_masks();
-  HDMM_CHECK(u.size() == masks);
-  Matrix x(masks, masks);
-  for (uint32_t a = 0; a < masks; ++a) {
-    const double ua = u[a];
-    if (ua == 0.0) continue;
-    for (uint32_t b = 0; b < masks; ++b) {
-      x(a & b, b) += ua * cweight_[a | b];
+  HDMM_CHECK(theta.size() == masks);
+  Vector a(masks);
+  for (uint32_t s = 0; s < masks; ++s) a[s] = theta[s] * theta[s] * cweight_[s];
+  for (int i = 0; i < d_; ++i) {
+    const uint32_t bit = uint32_t{1} << i;
+    for (uint32_t u = 0; u < masks; ++u) {
+      if (!(u & bit)) a[u] += a[u | bit];
     }
   }
-  return x;
+  return a;
 }
 
-Vector MarginalsAlgebra::InverseWeights(const Vector& u) const {
-  const uint32_t masks = num_masks();
-  HDMM_CHECK(u.size() == masks);
-  HDMM_CHECK_MSG(u[masks - 1] > 0.0,
-                 "InverseWeights requires positive weight on the full "
-                 "marginal (theta_{2^d} > 0)");
-  Matrix x = BuildX(u);
-  Vector e_full(masks, 0.0);
-  e_full[masks - 1] = 1.0;  // C(2^d - 1) = I.
-  return UpperTriangularSolve(x, e_full);
-}
-
-Vector MarginalsAlgebra::WorkloadTraceVector(const UnionWorkload& w) const {
+Vector MarginalsAlgebra::EigenspaceTraces(const UnionWorkload& w) const {
   HDMM_CHECK(w.domain().NumAttributes() == d_);
   const uint32_t masks = num_masks();
-  Vector tau(masks, 0.0);
-  std::vector<const FactorStats*> stats(static_cast<size_t>(d_));
+  Vector gamma(masks, 0.0);
+  Vector term(masks);
   for (int j = 0; j < w.NumProducts(); ++j) {
-    // Per-attribute trace and sum of the factor Gram matrices. tr(1 G) is
-    // the sum of all entries of G; tr(I G) is the trace. Neither needs the
-    // n x n Gram materialized: tr(F^T F) = ||F||_F^2 and
-    // sum(F^T F) = 1^T F^T F 1 = ||F 1||^2, both per-workload constants.
-    for (int i = 0; i < d_; ++i) stats[static_cast<size_t>(i)] = &w.Stats(j, i);
+    // tr(P_i G) = 1^T G 1 / n_i = ||F 1||^2 / n_i and tr(Q_i G) = tr(G) -
+    // tr(P_i G) = ||F||_F^2 - ||F 1||^2 / n_i for the factor Gram G = F^T F;
+    // the product over attributes expands one attribute at a time.
     const double weight = w.products()[static_cast<size_t>(j)].weight;
-    const double w2 = weight * weight;
-    for (uint32_t a = 0; a < masks; ++a) {
-      double term = w2;
-      for (int i = 0; i < d_; ++i) {
-        const FactorStats& s = *stats[static_cast<size_t>(i)];
-        term *= ((a >> i) & 1u) ? s.frobenius_sq : s.row_sum_sq;
+    term[0] = weight * weight;
+    for (int i = 0; i < d_; ++i) {
+      const FactorStats& stats = w.Stats(j, i);
+      const double p = stats.row_sum_sq /
+                       static_cast<double>(sizes_[static_cast<size_t>(i)]);
+      const double q =
+          stats.total_like ? 0.0 : std::max(0.0, stats.frobenius_sq - p);
+      const uint32_t half = uint32_t{1} << i;
+      for (uint32_t u = 0; u < half; ++u) {
+        term[u | half] = term[u] * q;
+        term[u] *= p;
       }
-      tau[a] += term;
     }
+    for (uint32_t u = 0; u < masks; ++u) gamma[u] += term[u];
   }
-  return tau;
+  return gamma;
 }
 
 double MarginalsAlgebra::TraceObjective(const Vector& theta,
-                                        const Vector& tau) const {
+                                        const Vector& gamma,
+                                        Vector* grad) const {
   const uint32_t masks = num_masks();
-  HDMM_CHECK(theta.size() == masks && tau.size() == masks);
-  Vector u(masks);
-  for (uint32_t a = 0; a < masks; ++a) u[a] = theta[a] * theta[a];
-  Vector v = InverseWeights(u);
-  double tr = Dot(v, tau);
-  // The exact trace is strictly positive; a non-positive value means the
-  // triangular solve lost all precision (extreme weight disparity).
-  if (!(tr > 0.0) || !std::isfinite(tr)) {
-    return std::numeric_limits<double>::infinity();
+  HDMM_CHECK(gamma.size() == masks);
+  const Vector a = Eigenvalues(theta);
+  double tr = 0.0;
+  // r_U = gamma_U / a_U^2, the gradient's per-eigenspace weight.
+  Vector r(grad != nullptr ? masks : 0, 0.0);
+  for (uint32_t u = 0; u < masks; ++u) {
+    if (!(gamma[u] > 0.0)) continue;
+    if (!(a[u] > 0.0)) {
+      if (grad != nullptr) grad->assign(masks, 0.0);
+      return std::numeric_limits<double>::infinity();
+    }
+    tr += gamma[u] / a[u];
+    if (grad != nullptr) r[u] = gamma[u] / (a[u] * a[u]);
+  }
+  if (grad != nullptr) {
+    for (int i = 0; i < d_; ++i) {
+      const uint32_t bit = uint32_t{1} << i;
+      for (uint32_t s = 0; s < masks; ++s) {
+        if (s & bit) r[s] += r[s ^ bit];
+      }
+    }
+    grad->resize(masks);
+    for (uint32_t s = 0; s < masks; ++s) {
+      (*grad)[s] = -2.0 * theta[s] * cweight_[s] * r[s];
+    }
   }
   return tr;
 }
@@ -96,53 +102,33 @@ OptMarginalsResult OptMarginals(const UnionWorkload& w,
                                 const OptMarginalsOptions& options, Rng* rng) {
   MarginalsAlgebra algebra(w.domain().sizes());
   const uint32_t masks = algebra.num_masks();
-  const Vector tau = algebra.WorkloadTraceVector(w);
+  const Vector gamma = algebra.EigenspaceTraces(w);
 
-  // Objective (Problem 4): (sum theta)^2 * tr[G(v) W^T W], u = theta^2,
-  // X(u) v = e_full. Gradient via the adjoint of the triangular solve:
-  //   d(v . tau)/du_a = -sum_b y[a&b] c(a|b) v_b,  X(u)^T y = tau.
+  // Objective (Problem 4): (sum theta)^2 * T(theta), T = TraceObjective.
+  Vector trace_grad;
   ObjectiveFn fn = [&](const Vector& theta, Vector* grad) -> double {
-    double s = Sum(theta);
-    if (s <= 0.0 || theta[masks - 1] <= 0.0) {
-      if (grad != nullptr) grad->assign(theta.size(), 0.0);
-      return std::numeric_limits<double>::infinity();
-    }
-    Vector u(masks);
-    for (uint32_t a = 0; a < masks; ++a) u[a] = theta[a] * theta[a];
-    Matrix x = algebra.BuildX(u);
-    Vector e_full(masks, 0.0);
-    e_full[masks - 1] = 1.0;
-    Vector v = UpperTriangularSolve(x, e_full);
-    double vt = Dot(v, tau);
-    double obj = s * s * vt;
-    if (!(vt > 0.0) || !std::isfinite(obj)) {
-      // Numerically poisoned region (the exact objective is positive).
+    const double s = Sum(theta);
+    const double t = s > 0.0 ? algebra.TraceObjective(
+                                   theta, gamma,
+                                   grad != nullptr ? &trace_grad : nullptr)
+                             : std::numeric_limits<double>::infinity();
+    const double obj = s * s * t;
+    if (!std::isfinite(obj)) {
       if (grad != nullptr) grad->assign(theta.size(), 0.0);
       return std::numeric_limits<double>::infinity();
     }
     if (grad != nullptr) {
-      Vector y = UpperTriangularSolveTranspose(x, tau);
-      grad->assign(masks, 0.0);
-      // O(masks^2) double loop — the cost wall for high-d marginal domains.
-      // Rows (gradient entries) are independent; fan out over the pool.
-      ComputePool().ParallelFor(
-          0, masks, /*grain=*/64, [&](int64_t a0, int64_t a1) {
-            for (int64_t ai = a0; ai < a1; ++ai) {
-              const uint32_t a = static_cast<uint32_t>(ai);
-              double dvt = 0.0;
-              for (uint32_t b = 0; b < masks; ++b) {
-                dvt -= y[a & b] * algebra.CWeight(a | b) * v[b];
-              }
-              (*grad)[a] = 2.0 * s * vt + s * s * dvt * 2.0 * theta[a];
-            }
-          });
+      grad->resize(masks);
+      for (uint32_t a = 0; a < masks; ++a) {
+        (*grad)[a] = 2.0 * s * t + s * s * trace_grad[a];
+      }
     }
     return obj;
   };
 
   // The objective is invariant to rescaling theta (both (sum theta)^2 and
-  // the inverse weights scale oppositely), so bounding the box loses no
-  // generality and keeps the triangular solves well-conditioned.
+  // the inverse eigenvalues scale oppositely), so bounding the box loses no
+  // generality.
   Vector lower(masks, 0.0);
   lower[masks - 1] = options.min_full_weight;
   Vector upper(masks, 1e3);
@@ -153,7 +139,7 @@ OptMarginalsResult OptMarginals(const UnionWorkload& w,
   // below the Algorithm 2 identity baseline on marginal workloads.
   best.theta.assign(masks, 0.0);
   best.theta[masks - 1] = 1.0;
-  best.error = algebra.TraceObjective(best.theta, tau);
+  best.error = algebra.TraceObjective(best.theta, gamma);
 
   // One run; Algorithm 2's restarts are OptimizeStrategy's grid, which hands
   // every job its own stream. The random start is drawn from Fork(0) rather

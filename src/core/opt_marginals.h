@@ -1,7 +1,9 @@
 // OPT_M (Problem 4, Section 6.3) and the closed marginals algebra of
 // Appendix A.4. Strategies are weighted sets of marginals M(theta),
-// theta in R^{2^d}_+, and both the objective and its gradient are evaluated
-// in O(4^d) time independent of the attribute domain sizes.
+// theta in R^{2^d}_+. The paper inverts M^T M through a 2^d x 2^d
+// triangular system, which costs O(4^d); here the objective, its gradient and
+// the error are evaluated in the algebra's joint eigenbasis in O(d 2^d) time
+// and O(2^d) memory, independent of the attribute domain sizes.
 #ifndef HDMM_CORE_OPT_MARGINALS_H_
 #define HDMM_CORE_OPT_MARGINALS_H_
 
@@ -16,8 +18,12 @@ namespace hdmm {
 
 /// The closed algebra over matrices G(v) = sum_a v_a C(a), where
 /// C(a) = kron_i (I if bit_i(a) else 1) — Propositions 3 and 4 of the paper.
-/// Products stay inside the algebra: G(u) G(v) = G(X(u) v) with X(u) upper
-/// triangular, which yields O(4^d) inverses via one triangular solve.
+/// The paper multiplies and inverts in the basis {C(a)} (O(4^d)). Every C(a)
+/// is diagonal in one joint eigenbasis instead: per attribute, P_i = 11^T/n_i
+/// and Q_i = I - P_i; for attribute subsets U the eigenspaces are
+/// E_U = kron_i (Q_i if i in U else P_i), and C(a) = c(a) sum_{U subset a} E_U.
+/// Hence M(theta)^T M(theta) = sum_U a_U E_U (Eigenvalues) and its
+/// pseudo-inverse is sum_{a_U > 0} E_U / a_U.
 class MarginalsAlgebra {
  public:
   explicit MarginalsAlgebra(std::vector<int64_t> attr_sizes);
@@ -31,24 +37,25 @@ class MarginalsAlgebra {
     return cweight_[static_cast<size_t>(mask)];
   }
 
-  /// The triangular matrix X(u) with G(u) G(v) = G(X(u) v) (Proposition 4):
-  /// X(u)[k, b] = sum_{a : a & b = k} u_a c(a | b).
-  Matrix BuildX(const Vector& u) const;
+  /// Eigenvalues of M(theta)^T M(theta) = sum_U a_U E_U:
+  /// a_U = sum_{S superset of U} theta_S^2 c(S), one superset-sum transform.
+  Vector Eigenvalues(const Vector& theta) const;
 
-  /// Solves X(u) v = e_{full}: then G(v) = G(u)^{-1}. Requires u_full > 0
-  /// (which makes X(u) nonsingular). For a strategy M(theta),
-  /// (M^T M) = G(theta^2) and hence (M^T M)^{-1} = G(v).
-  Vector InverseWeights(const Vector& u) const;
+  /// Eigenspace traces gamma_U = tr[E_U W^T W] = sum_j w_j^2
+  /// prod_{i in U} (||F_ji||_F^2 - ||F_ji 1||^2 / n_i)
+  /// prod_{i not in U} ||F_ji 1||^2 / n_i, from the workload's cached
+  /// FactorStats (a Total-like factor contributes exactly 0 on Q_i; rounding
+  /// below 0 is clamped to 0). Computed once per workload, O(2^d) per product.
+  Vector EigenspaceTraces(const UnionWorkload& w) const;
 
-  /// Per-mask workload statistics tau_a = sum_j w_j^2 *
-  /// prod_i (bit_i(a) ? tr(G_i^(j)) : sum(G_i^(j))), so that
-  /// tr[G(v) W^T W] = v . tau. Precomputed once per workload; cost linear
-  /// in the number of products (Section 6.3).
-  Vector WorkloadTraceVector(const UnionWorkload& w) const;
-
-  /// tr[(M(theta)^T M(theta))^{-1} W^T W] given tau = WorkloadTraceVector.
-  /// Dies if theta_full <= 0.
-  double TraceObjective(const Vector& theta, const Vector& tau) const;
+  /// tr[(M(theta)^T M(theta))^+ W^T W] = sum_{gamma_U > 0} gamma_U / a_U given
+  /// gamma = EigenspaceTraces(w); +infinity when some gamma_U > 0 has
+  /// a_U = 0, i.e. M(theta) does not support W. When `grad` is non-null and
+  /// the trace is finite, it receives the gradient
+  /// dT/dtheta_S = -2 theta_S c(S) sum_{U subset S} gamma_U / a_U^2 (one
+  /// subset-sum transform); at +infinity it is zeroed.
+  double TraceObjective(const Vector& theta, const Vector& gamma,
+                        Vector* grad = nullptr) const;
 
  private:
   int d_;
@@ -59,7 +66,9 @@ class MarginalsAlgebra {
 /// Options for OPT_M.
 struct OptMarginalsOptions {
   LbfgsbOptions lbfgs;
-  double min_full_weight = 1e-4;  ///< Lower bound keeping theta_{2^d} > 0.
+  /// Lower bound on theta_{2^d}. A serving policy, not a numerical need:
+  /// the full table stays measured, so the plan supports every query.
+  double min_full_weight = 1e-4;
   /// Start from the workload's own marginals (a very strong basin); disable
   /// to start from theta ~ U[0, 1) drawn from rng->Fork(0), as pure random
   /// restarts do (Figure 3).

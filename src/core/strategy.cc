@@ -1,7 +1,7 @@
 #include "core/strategy.h"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/check.h"
 #include "core/gaussian.h"
@@ -244,6 +244,19 @@ double UnionKronStrategy::SquaredError(const UnionWorkload& w) const {
 
 // ------------------------------------------------------- MarginalsStrategy
 
+namespace {
+
+// Cells of the marginal table over the attributes in `mask`.
+int64_t TableCells(const Domain& domain, uint32_t mask) {
+  int64_t cells = 1;
+  for (int i = 0; i < domain.NumAttributes(); ++i) {
+    if ((mask >> i) & 1u) cells *= domain.AttributeSize(i);
+  }
+  return cells;
+}
+
+}  // namespace
+
 MarginalsStrategy::MarginalsStrategy(Domain domain, Vector theta,
                                      std::string name)
     : domain_(std::move(domain)),
@@ -273,12 +286,7 @@ std::vector<Matrix> MarginalsStrategy::MarginalFactors(uint32_t mask) const {
 
 int64_t MarginalsStrategy::NumQueries() const {
   int64_t m = 0;
-  for (uint32_t mask : ActiveMasks()) {
-    int64_t cells = 1;
-    for (int i = 0; i < domain_.NumAttributes(); ++i)
-      if ((mask >> i) & 1u) cells *= domain_.AttributeSize(i);
-    m += cells;
-  }
+  for (uint32_t mask : ActiveMasks()) m += TableCells(domain_, mask);
   return m;
 }
 
@@ -306,8 +314,7 @@ Vector MarginalsStrategy::Apply(const Vector& x) const {
 }
 
 Vector MarginalsStrategy::Reconstruct(const Vector& y) const {
-  // x_hat = (M^T M)^{-1} M^T y, with (M^T M)^{-1} = G(v) (Appendix A.4),
-  // through the same per-submask tables the sessions stream from.
+  // Through the same tables the sessions stream from.
   Vector xhat(static_cast<size_t>(domain_.TotalSize()));
   MarginalsStreamReconstructor(*this, y).Fill(0, domain_.TotalSize(),
                                               xhat.data());
@@ -315,9 +322,9 @@ Vector MarginalsStrategy::Reconstruct(const Vector& y) const {
 }
 
 double MarginalsStrategy::SquaredError(const UnionWorkload& w) const {
-  Vector tau = algebra_.WorkloadTraceVector(w);
-  double tr = algebra_.TraceObjective(theta_, tau);
-  double sens = Sensitivity();
+  const double tr =
+      algebra_.TraceObjective(theta_, algebra_.EigenspaceTraces(w));
+  const double sens = Sensitivity();
   return sens * sens * tr;
 }
 
@@ -325,45 +332,50 @@ double MarginalsStrategy::SquaredError(const UnionWorkload& w) const {
 
 namespace {
 
-// Sums a per-mask measurement table (row-major over mask's attributes,
-// ascending) down to the attributes in `sub` (sub subset of mask). Tables
-// are marginal-sized, so the straightforward odometer pass is cheap.
-Vector DownsumTable(const Domain& domain, uint32_t mask, uint32_t sub,
-                    const Vector& in) {
-  const int d = domain.NumAttributes();
-  std::vector<int> attrs;
-  for (int i = 0; i < d; ++i) {
-    if ((mask >> i) & 1u) attrs.push_back(i);
+// A table over the attributes of `mask` (row-major, ascending attributes)
+// seen around one of them, `axis`: cell (o, k, r) sits at (o * n + k) *
+// inner + r, with `outer` cells of the attributes before it and `inner` of
+// those after it.
+struct AxisSplit {
+  int64_t outer = 1;
+  int64_t n = 1;
+  int64_t inner = 1;
+};
+
+AxisSplit SplitAt(const Domain& domain, uint32_t mask, int axis) {
+  AxisSplit split;
+  split.n = domain.AttributeSize(axis);
+  for (int i = 0; i < domain.NumAttributes(); ++i) {
+    if (i == axis || !((mask >> i) & 1u)) continue;
+    (i < axis ? split.outer : split.inner) *= domain.AttributeSize(i);
   }
-  const size_t k = attrs.size();
-  std::vector<int64_t> in_stride(k, 1);
-  for (size_t i = k; i-- > 1;) {
-    in_stride[i - 1] = in_stride[i] * domain.AttributeSize(attrs[i]);
-  }
-  // Row-major strides of the output over the kept attributes (0 = summed
-  // out), built innermost-first.
-  int64_t out_cells = 1;
-  std::vector<int64_t> out_stride(k, 0);
-  for (size_t i = k; i-- > 0;) {
-    if ((sub >> attrs[i]) & 1u) {
-      out_stride[i] = out_cells;
-      out_cells *= domain.AttributeSize(attrs[i]);
+  return split;
+}
+
+// small[o, r] += scale * sum_k big[o, k, r].
+void AddAxisSum(const AxisSplit& s, const double* big, double scale,
+                double* small) {
+  for (int64_t o = 0; o < s.outer; ++o) {
+    for (int64_t k = 0; k < s.n; ++k) {
+      const double* in = big + (o * s.n + k) * s.inner;
+      for (int64_t r = 0; r < s.inner; ++r) {
+        small[o * s.inner + r] += scale * in[r];
+      }
     }
   }
-  Vector out(static_cast<size_t>(out_cells), 0.0);
-  std::vector<int64_t> coord(k, 0);
-  int64_t out_idx = 0;
-  for (size_t cell = 0; cell < in.size(); ++cell) {
-    out[static_cast<size_t>(out_idx)] += in[cell];
-    size_t axis = k;
-    while (axis-- > 0) {
-      out_idx += out_stride[axis];
-      if (++coord[axis] < domain.AttributeSize(attrs[axis])) break;
-      out_idx -= coord[axis] * out_stride[axis];
-      coord[axis] = 0;
+}
+
+// big[o, k, r] += scale * small[o, r].
+void AddBroadcast(const AxisSplit& s, const double* small, double scale,
+                  double* big) {
+  for (int64_t o = 0; o < s.outer; ++o) {
+    for (int64_t k = 0; k < s.n; ++k) {
+      double* out = big + (o * s.n + k) * s.inner;
+      for (int64_t r = 0; r < s.inner; ++r) {
+        out[r] += scale * small[o * s.inner + r];
+      }
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -373,66 +385,82 @@ MarginalsStreamReconstructor::MarginalsStreamReconstructor(
     : domain_(strategy.domain()) {
   const int d = domain_.NumAttributes();
   const MarginalsAlgebra algebra(domain_.sizes());
-  const uint32_t full = algebra.num_masks() - 1;
+  const uint32_t masks = algebra.num_masks();
   const Vector& theta = strategy.theta();
-  Vector u(algebra.num_masks());
-  for (uint32_t a = 0; a < algebra.num_masks(); ++a) u[a] = theta[a] * theta[a];
-  const Vector v = algebra.InverseWeights(u);
+  const Vector a = algebra.Eigenvalues(theta);
 
-  // Combined tables E_s in ascending-submask order (deterministic layout —
-  // the backends' bit-identity rests on a fixed summation order).
-  std::map<uint32_t, Vector> combined;
+  // z[m] starts as theta_m Y_m for every measured mask; an empty table is a
+  // mask outside every measured one.
+  std::vector<Vector> z(masks);
   size_t offset = 0;
   for (uint32_t m : strategy.ActiveMasks()) {
-    int64_t cells = 1;
-    for (int i = 0; i < d; ++i) {
-      if ((m >> i) & 1u) cells *= domain_.AttributeSize(i);
-    }
-    HDMM_CHECK(offset + static_cast<size_t>(cells) <= y.size());
-    const Vector raw(y.begin() + static_cast<long>(offset),
-                     y.begin() + static_cast<long>(offset) +
-                         static_cast<long>(cells));
-    offset += static_cast<size_t>(cells);
-
-    // K_{m,s} = theta_m sum_{b subset ~m} v_{s|b} prod_{i in ~m \ b} n_i:
-    // every G(v) term with a & m == s lands on the same downsummed table.
-    const uint32_t fm = full & ~m;
-    uint32_t s = m;
-    while (true) {
-      double k = 0.0;
-      uint32_t b = fm;
-      while (true) {
-        double mult = 1.0;
-        for (int i = 0; i < d; ++i) {
-          if (((fm >> i) & 1u) && !((b >> i) & 1u)) {
-            mult *= static_cast<double>(domain_.AttributeSize(i));
-          }
-        }
-        k += v[s | b] * mult;
-        if (b == 0) break;
-        b = (b - 1) & fm;
-      }
-      k *= theta[m];
-      if (k != 0.0) {
-        Vector t = DownsumTable(domain_, m, s, raw);
-        Vector& e = combined[s];
-        if (e.empty()) e.assign(t.size(), 0.0);
-        HDMM_CHECK(e.size() == t.size());
-        for (size_t i = 0; i < t.size(); ++i) e[i] += k * t[i];
-      }
-      if (s == 0) break;
-      s = (s - 1) & m;
-    }
+    const size_t cells = static_cast<size_t>(TableCells(domain_, m));
+    HDMM_CHECK(offset + cells <= y.size());
+    z[m].assign(y.begin() + static_cast<long>(offset),
+                y.begin() + static_cast<long>(offset + cells));
+    for (double& v : z[m]) v *= theta[m];
+    offset += cells;
   }
   HDMM_CHECK(offset == y.size());
 
-  for (auto& [s, values] : combined) {
+  // 1. Down: z_V = sum_{m superset of V} theta_m mean_{m\V}(Y_m), a
+  //    superset-sum transform whose step along attribute i averages it out.
+  //    Every subset of a measured mask gets a table.
+  for (int i = 0; i < d; ++i) {
+    const uint32_t bit = uint32_t{1} << i;
+    for (uint32_t v = 0; v < masks; ++v) {
+      if (!(v & bit) || z[v].empty()) continue;
+      const AxisSplit s = SplitAt(domain_, v, i);
+      Vector& dst = z[v ^ bit];
+      if (dst.empty()) dst.assign(static_cast<size_t>(s.outer * s.inner), 0.0);
+      AddAxisSum(s, z[v].data(), 1.0 / static_cast<double>(s.n), dst.data());
+    }
+  }
+
+  // 2. Center each z_U along its own attributes (Q_i) and scale it by 1/a_U;
+  //    a_U >= theta_m^2 c(m) > 0 for U inside a measured m.
+  Vector mean;
+  for (uint32_t u = 0; u < masks; ++u) {
+    if (z[u].empty()) continue;
+    HDMM_CHECK(a[u] > 0.0);
+    for (int i = 0; i < d; ++i) {
+      if (!((u >> i) & 1u)) continue;
+      const AxisSplit s = SplitAt(domain_, u, i);
+      mean.assign(static_cast<size_t>(s.outer * s.inner), 0.0);
+      AddAxisSum(s, z[u].data(), 1.0 / static_cast<double>(s.n), mean.data());
+      AddBroadcast(s, mean.data(), -1.0, z[u].data());
+    }
+    for (double& v : z[u]) v /= a[u];
+  }
+
+  // 3. Up: broadcast-add each table into a superset table along one
+  //    attribute (the smallest available), in ascending mask order so that a
+  //    table has received all of its subsets before it moves on. Only the
+  //    maximal tables are left.
+  for (uint32_t u = 0; u < masks; ++u) {
+    if (z[u].empty()) continue;
+    int axis = -1;
+    for (int i = 0; i < d; ++i) {
+      if (((u >> i) & 1u) || z[u | (uint32_t{1} << i)].empty()) continue;
+      if (axis < 0 || domain_.AttributeSize(i) < domain_.AttributeSize(axis)) {
+        axis = i;
+      }
+    }
+    if (axis < 0) continue;
+    const uint32_t parent = u | (uint32_t{1} << axis);
+    AddBroadcast(SplitAt(domain_, parent, axis), z[u].data(), 1.0,
+                 z[parent].data());
+    Vector().swap(z[u]);
+  }
+
+  for (uint32_t u = 0; u < masks; ++u) {
+    if (z[u].empty()) continue;
     Table table;
-    table.values = std::move(values);
+    table.values = std::move(z[u]);
     table.stride.assign(static_cast<size_t>(d), 0);
     int64_t stride = 1;
     for (int i = d; i-- > 0;) {
-      if ((s >> i) & 1u) {
+      if ((u >> i) & 1u) {
         table.stride[static_cast<size_t>(i)] = stride;
         stride *= domain_.AttributeSize(i);
       }

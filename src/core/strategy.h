@@ -200,10 +200,12 @@ class MarginalsStrategy : public Strategy {
   /// (exact).
   double L2Sensitivity() const override;
   Vector Apply(const Vector& x) const override;
-  /// M^+ y = (M^T M)^+ M^T y with (M^T M)^{-1} = G(v) from the closed
-  /// marginals algebra (Section 7.2 / Appendix A.4): the full-domain Fill of
-  /// a MarginalsStreamReconstructor, so x_hat matches what sessions serve.
+  /// M^+ y = (M^T M)^+ M^T y in the eigenbasis of the closed marginals
+  /// algebra (Section 7.2 / Appendix A.4): the full-domain Fill of a
+  /// MarginalsStreamReconstructor, so x_hat matches what sessions serve.
   Vector Reconstruct(const Vector& y) const override;
+  /// sens^2 * tr[(M^T M)^+ W^T W] = sens^2 * sum_U gamma_U / a_U (exact, every
+  /// term positive); +infinity when M(theta) does not support W.
   double SquaredError(const UnionWorkload& w) const override;
 
   const Vector& theta() const { return theta_; }
@@ -224,26 +226,26 @@ class MarginalsStrategy : public Strategy {
   MarginalsAlgebra algebra_;
 };
 
-/// Streams a marginals-measured reconstruction tile-by-tile: the closed-form
-/// x_hat = G(v) M^T y re-expressed as a sum of small per-submask tables, so
-/// any cell range of x_hat can be produced in O(#tables) per cell without
-/// ever materializing a full-domain vector. It is the only marginals
-/// reconstruction: MarginalsStrategy::Reconstruct fills the whole domain
-/// with it, and out-of-core sessions build their tiled summed-area table
-/// through it — the only full-domain state during construction is one tile
-/// buffer.
+/// Streams a marginals-measured reconstruction tile-by-tile: x_hat as a sum
+/// of per-mask tables, one per maximal measured marginal, so any cell range
+/// of x_hat can be produced in O(#tables) per cell. It is the only marginals
+/// reconstruction: MarginalsStrategy::Reconstruct fills the whole domain with
+/// it, and out-of-core sessions build their tiled summed-area table through
+/// it — no full-domain vector is held during construction beyond one tile
+/// buffer, unless the full table itself is measured.
 ///
-/// Derivation: with v = InverseWeights(theta^2) and y split into raw
-/// per-mask measurement tables Y_m,
+/// Derivation: in the eigenbasis of MarginalsAlgebra,
+/// x_hat = (M^T M)^+ M^T y = sum_{a_U > 0} (1/a_U) E_U M^T y. M^T y
+/// broadcasts each raw table Y_m (weighted by theta_m) over the attributes
+/// outside m, so E_U M^T y is zero unless U is a subset of m, and is then
+/// the broadcast of Y_m averaged over m \ U (P_i) and centered along U
+/// (Q_i). Hence x_hat[c] = sum_U z_U[c|_U] with
 ///
-///   x_hat[c] = sum_a v_a (C(a) M^T y)[c]
-///            = sum_a v_a sum_m theta_m mult(a,m) T_{m->a&m}[c|_{a&m}]
+///   z_U = (1/a_U) center_U( sum_{m superset of U} theta_m mean_{m\U}(Y_m) ),
 ///
-/// where C(a) = kron_i (I if bit_i(a) else ones), T_{m->s} sums Y_m down to
-/// the attributes in s, and mult(a,m) = prod_{i not in a|m} n_i counts the
-/// axes replicated by the all-ones factors. Grouping terms by s = a & m
-/// collapses everything into one combined table E_s per distinct submask,
-/// and x_hat[c] = sum_s E_s[c|_s].
+/// built in three one-axis passes: the sums over m one attribute at a time,
+/// then the centering and scaling, then each z_U broadcast-added into a
+/// measured superset, so Fill reads only the maximal tables.
 class MarginalsStreamReconstructor {
  public:
   /// `y` is the strategy's raw (theta-weighted) measurement vector, exactly
@@ -255,8 +257,6 @@ class MarginalsStreamReconstructor {
   /// (ranges may be produced in any order) and allocation-light: per-table
   /// indices advance with the cell odometer, no division per cell.
   void Fill(int64_t begin, int64_t end, double* out) const;
-
-  int64_t NumTables() const { return static_cast<int64_t>(tables_.size()); }
 
  private:
   struct Table {

@@ -328,9 +328,10 @@ std::unique_ptr<Strategy> ParseMarginals(LineReader* reader,
     *error = reader->Error("marginals strategy with all-zero weights");
     return nullptr;
   }
-  // (M^T M)^{-1} exists only when theta_full^2 > 0 (InverseWeights'
-  // contract): a zero, or a tiny weight whose square underflows, would
-  // abort the first error estimate or reconstruction.
+  // A strategy from outside must measure the full table, as OPT_M's plans do
+  // (min_full_weight): then M^T M is invertible and every query is
+  // supported. A zero, or a tiny weight whose square underflows, could leave
+  // a workload unsupported (infinite error) after the budget is charged.
   const double full = theta.back();
   if (!(full * full > 0.0)) {
     *error = reader->Error(

@@ -455,10 +455,9 @@ void MeasurementSession::EnsureMaterialized() const {
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (materialized_.load(std::memory_order_relaxed)) return;
   // First uncovered query on a marginals-measured session: stream x_hat out
-  // of the strategy's closed-form pseudo-inverse (re-expressed as compact
-  // per-submask tables) and fold it into the summed-area stores tile by
-  // tile. Post-processing only — no budget involved — and no full-domain
-  // intermediate is ever held.
+  // of the strategy's closed-form pseudo-inverse (one table per maximal
+  // measured marginal) and fold it into the summed-area stores tile by
+  // tile. Post-processing only — no budget involved.
   const auto* marginals =
       dynamic_cast<const MarginalsStrategy*>(strategy_.get());
   HDMM_CHECK(marginals != nullptr);

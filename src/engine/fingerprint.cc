@@ -73,11 +73,13 @@ Fingerprint FingerprintWorkload(const UnionWorkload& w) {
 Fingerprint FingerprintPlan(const UnionWorkload& w,
                             const HdmmOptions& options) {
   WordHasher h;
-  // Format tag "hdmmp4": bumped when the hashed option set changes (hdmmp2
-  // also hashed the operators' own restart counts, hdmmp3 four L-BFGS-B
-  // constants and OPT_x's cycle tolerance), so a disk cache written under
-  // an older tag is re-planned once instead of misread.
-  h.U64(0x68646d6d70340000ULL);
+  // Format tag "hdmmp5": bumped when the hashed option set changes or when
+  // candidates are scored differently (hdmmp2 also hashed the operators' own
+  // restart counts, hdmmp3 four L-BFGS-B constants and OPT_x's cycle
+  // tolerance; hdmmp5 scores OPT_M exactly in the marginals eigenbasis), so
+  // a disk cache written under an older tag is re-planned once instead of
+  // misread or served by a plan chosen on the old scores.
+  h.U64(0x68646d6d70350000ULL);
   h.U64(FingerprintWorkload(w).value);
   h.I32(options.restarts);
   h.Bool(options.use_kron);

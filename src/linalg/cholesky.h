@@ -44,12 +44,6 @@ Vector CholeskySolve(const Matrix& l, const Vector& b);
 /// multi-RHS substitutions (no per-column Vector copies).
 void CholeskySolveMatrixInto(const Matrix& l, const Matrix& b, Matrix* out);
 
-/// Solves an upper-triangular system U x = b. Dies on zero diagonal.
-Vector UpperTriangularSolve(const Matrix& u, const Vector& b);
-
-/// Solves U^T x = b with U upper triangular (i.e., a lower-triangular solve).
-Vector UpperTriangularSolveTranspose(const Matrix& u, const Vector& b);
-
 }  // namespace hdmm
 
 #endif  // HDMM_LINALG_CHOLESKY_H_

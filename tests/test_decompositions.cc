@@ -42,17 +42,6 @@ TEST(Cholesky, SolveMatchesDirect) {
   for (size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(back[i], b[i], 1e-9);
 }
 
-TEST(Lu, TriangularSolvers) {
-  Matrix u = Matrix::FromRows({{2.0, 1.0, 3.0}, {0.0, 4.0, 5.0}, {0.0, 0.0, 6.0}});
-  Vector b = {1.0, 2.0, 3.0};
-  Vector x = UpperTriangularSolve(u, b);
-  Vector back = MatVec(u, x);
-  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(back[i], b[i], 1e-12);
-  Vector xt = UpperTriangularSolveTranspose(u, b);
-  Vector backt = MatVec(u.Transposed(), xt);
-  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(backt[i], b[i], 1e-12);
-}
-
 TEST(EigenSym, Reconstructs) {
   Rng rng(7);
   Matrix x = RandomSpd(10, &rng);

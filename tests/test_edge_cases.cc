@@ -92,14 +92,21 @@ TEST(EdgeCases, Opt0OnTotalWorkload) {
 
 TEST(EdgeCases, MarginalsSingleAttribute) {
   MarginalsAlgebra alg({5});
-  Vector u = {0.5, 2.0};
-  Vector v = alg.InverseWeights(u);
-  // G(u) = 0.5 * ones(5) + 2 I; check G(u) G(v) = I explicitly.
+  const Vector theta = {std::sqrt(0.5), std::sqrt(2.0)};
+  const Vector a = alg.Eigenvalues(theta);
+  // M^T M = 0.5 * ones(5) + 2 I = a_0 P + a_1 Q with P = ones(5) / 5 and
+  // Q = I - P; check it and (P / a_0 + Q / a_1) M^T M = I explicitly.
   Matrix g = MatScale(Matrix::Ones(5, 5), 0.5);
   g.AddInPlace(Matrix::Identity(5), 2.0);
-  Matrix gv = MatScale(Matrix::Ones(5, 5), v[0]);
-  gv.AddInPlace(Matrix::Identity(5), v[1]);
-  EXPECT_LT(MatMul(g, gv).MaxAbsDiff(Matrix::Identity(5)), 1e-10);
+  const Matrix p = MatScale(Matrix::Ones(5, 5), 0.2);
+  Matrix q = Matrix::Identity(5);
+  q.AddInPlace(p, -1.0);
+  Matrix spectral = MatScale(p, a[0]);
+  spectral.AddInPlace(q, a[1]);
+  EXPECT_LT(spectral.MaxAbsDiff(g), 1e-12);
+  Matrix inverse = MatScale(p, 1.0 / a[0]);
+  inverse.AddInPlace(q, 1.0 / a[1]);
+  EXPECT_LT(MatMul(inverse, g).MaxAbsDiff(Matrix::Identity(5)), 1e-12);
 }
 
 TEST(EdgeCases, MarginalsStrategyZeroWeightsDie) {

@@ -1575,10 +1575,7 @@ TEST(Session, UncoveredQueryFallsBackToSummedAreaTable) {
   Vector theta(4, 0.0);
   theta[1] = 1.0;  // attr a marginal.
   theta[2] = 1.0;  // attr b marginal.
-  // The full marginal sits at the activity threshold: ActiveMasks keeps
-  // only theta > 1e-12, so it is no table and covers nothing, but the
-  // closed-form reconstruction behind the fallback needs theta_full > 0.
-  theta[3] = 1e-12;
+  // theta[3], the full marginal, stays 0: it is no table and covers nothing.
   auto one_way = std::make_shared<MarginalsStrategy>(d, theta, "one-way");
   Vector x{3.0, 1.0, 4.0, 1.0, 5.0, 9.0};
   const Vector y = one_way->Apply(x);  // Noiseless: tables are exact.
@@ -1595,9 +1592,9 @@ TEST(Session, UncoveredQueryFallsBackToSummedAreaTable) {
   ASSERT_TRUE(ParseQueryLine("point a=1 b=2", d, &uncovered, &parse_error));
   EXPECT_FALSE(session.CoveredByMarginal(uncovered));
   // The uncovered answer is the box sum over the reconstructed x_hat (read
-  // through its summed-area table). One-way tables leave x_hat
-  // ill-conditioned at this weight, so it is checked against XHat(), not x,
-  // with the tolerance scaled to XHat()'s magnitude.
+  // through its summed-area table). One-way tables do not determine x, so
+  // it is checked against XHat(), not x, with the tolerance scaled to
+  // XHat()'s magnitude.
   const double brute = BruteForceBox(d, session.XHat(), uncovered);
   EXPECT_NEAR(session.Answer(uncovered), brute,
               1e-9 * std::max(1.0, std::fabs(brute)));

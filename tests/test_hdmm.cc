@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/strategy.h"
 #include "workload/building_blocks.h"
 #include "workload/marginals.h"
 
@@ -25,6 +26,18 @@ TEST(Hdmm, NeverWorseThanIdentity) {
   double id_err = PrefixGram(8).Trace() * PrefixGram(8).Trace();
   EXPECT_LE(res.squared_error, id_err);
   EXPECT_NE(res.chosen_operator, "");
+}
+
+TEST(Hdmm, HighOrderMarginalsPlanNoWorseThanIdentity) {
+  // Up-to-7-way marginals over 8 attributes of size 10: the full table is
+  // hard to beat, so a marginals plan that wins must win on its exact error.
+  const Domain d(std::vector<int64_t>(8, 10));
+  const UnionWorkload w = UpToKWayMarginals(d, 7);
+  const HdmmResult res = OptimizeStrategy(w);
+  const KronStrategy identity(std::vector<Matrix>(8, IdentityBlock(10)));
+  EXPECT_LE(res.strategy->SquaredError(w),
+            identity.SquaredError(w) * (1.0 + 1e-12))
+      << res.chosen_operator;
 }
 
 TEST(Hdmm, PicksMarginalsForMarginalWorkloads) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "core/strategy.h"
 #include "linalg/pinv.h"
 #include "workload/building_blocks.h"
@@ -19,6 +23,68 @@ Matrix ExplicitMarginalsMatrix(const Domain& domain, const Vector& theta) {
     blocks.push_back(p.Explicit());
   }
   return VStack(blocks);
+}
+
+// The eigenspace E_U = kron_i (Q_i if bit_i(U) else P_i), explicitly, with
+// P_i = 11^T / n_i and Q_i = I - P_i.
+Matrix ExplicitEigenspace(const std::vector<int64_t>& sizes, uint32_t u) {
+  std::vector<Matrix> fs;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const int64_t n = sizes[i];
+    Matrix p = MatScale(Matrix::Ones(n, n), 1.0 / static_cast<double>(n));
+    if ((u >> i) & 1u) {
+      Matrix q = Matrix::Identity(n);
+      q.AddInPlace(p, -1.0);
+      fs.push_back(std::move(q));
+    } else {
+      fs.push_back(std::move(p));
+    }
+  }
+  return KronExplicit(fs);
+}
+
+// Brute-force tr[(M^T M)^+ W^T W] in the eigenbasis: gamma_U from explicit
+// traces tr(Q_i G) and tr(P_i G) against each explicit factor Gram, a_U by a
+// direct loop over the supersets S of U. A factor with constant rows has
+// tr(Q_i G) = 0 exactly; explicit rounding leaves ~1e-16 of tr(G), which
+// would dominate at a_U ~ theta_full^2, so that is snapped to 0.
+double BruteForceTrace(const UnionWorkload& w, const Vector& theta) {
+  const std::vector<int64_t>& sizes = w.domain().sizes();
+  const int d = static_cast<int>(sizes.size());
+  const uint32_t masks = uint32_t{1} << d;
+  double total = 0.0;
+  for (uint32_t u = 0; u < masks; ++u) {
+    double gamma = 0.0;
+    for (const ProductWorkload& prod : w.products()) {
+      double term = prod.weight * prod.weight;
+      for (int i = 0; i < d; ++i) {
+        const int64_t n = sizes[static_cast<size_t>(i)];
+        const Matrix g = Gram(prod.factors[static_cast<size_t>(i)]);
+        const Matrix p =
+            MatScale(Matrix::Ones(n, n), 1.0 / static_cast<double>(n));
+        const double tr_p = MatMul(p, g).Trace();
+        double tr_q = g.Trace() - tr_p;
+        if (std::fabs(tr_q) <= 1e-12 * g.Trace()) tr_q = 0.0;
+        term *= ((u >> i) & 1u) ? tr_q : tr_p;
+      }
+      gamma += term;
+    }
+    if (gamma == 0.0) continue;
+    double a = 0.0;
+    for (uint32_t s = 0; s < masks; ++s) {
+      if ((s & u) != u) continue;
+      double c = 1.0;
+      for (int i = 0; i < d; ++i) {
+        if (!((s >> i) & 1u)) {
+          c *= static_cast<double>(sizes[static_cast<size_t>(i)]);
+        }
+      }
+      a += theta[s] * theta[s] * c;
+    }
+    if (a == 0.0) return std::numeric_limits<double>::infinity();
+    total += gamma / a;
+  }
+  return total;
 }
 
 TEST(MarginalsAlgebra, CWeight) {
@@ -50,41 +116,25 @@ TEST(MarginalsAlgebra, Proposition3ProductRule) {
   }
 }
 
-TEST(MarginalsAlgebra, XMatrixIsUpperTriangular) {
-  MarginalsAlgebra alg({2, 2, 2});
-  Rng rng(1);
-  Vector u(8);
-  for (auto& v : u) v = rng.Uniform(0.1, 1.0);
-  Matrix x = alg.BuildX(u);
-  for (int64_t i = 0; i < 8; ++i)
-    for (int64_t j = 0; j < i; ++j) EXPECT_DOUBLE_EQ(x(i, j), 0.0);
-}
-
-TEST(MarginalsAlgebra, InverseWeightsGiveTrueInverse) {
-  // G(v) = (M^T M)^{-1} checked against the explicit matrix.
-  Domain d({2, 3});
-  MarginalsAlgebra alg({2, 3});
+TEST(MarginalsAlgebra, EigenbasisGivesTrueInverse) {
+  // M^T M = sum_U a_U E_U and (sum_U E_U / a_U) M^T M = I, explicitly.
+  const std::vector<int64_t> sizes = {2, 3};
+  Domain d(sizes);
+  MarginalsAlgebra alg(sizes);
   Rng rng(2);
   Vector theta(4);
   for (auto& v : theta) v = rng.Uniform(0.2, 1.0);
 
-  Vector u(4);
-  for (int a = 0; a < 4; ++a) u[static_cast<size_t>(a)] = theta[static_cast<size_t>(a)] * theta[static_cast<size_t>(a)];
-  Vector v = alg.InverseWeights(u);
-
-  Matrix m = ExplicitMarginalsMatrix(d, theta);
-  Matrix mtm = Gram(m);
-  // G(v) = sum_a v_a C(a).
-  Matrix gv(6, 6);
-  for (uint32_t a = 0; a < 4; ++a) {
-    std::vector<Matrix> fs;
-    for (int i = 0; i < 2; ++i) {
-      int64_t n = d.AttributeSize(i);
-      fs.push_back(((a >> i) & 1u) ? Matrix::Identity(n) : Matrix::Ones(n, n));
-    }
-    gv.AddInPlace(KronExplicit(fs), v[a]);
+  const Vector a = alg.Eigenvalues(theta);
+  const Matrix mtm = Gram(ExplicitMarginalsMatrix(d, theta));
+  Matrix spectral = Matrix::Zeros(6, 6);
+  Matrix inverse = Matrix::Zeros(6, 6);
+  for (uint32_t u = 0; u < 4; ++u) {
+    spectral.AddInPlace(ExplicitEigenspace(sizes, u), a[u]);
+    inverse.AddInPlace(ExplicitEigenspace(sizes, u), 1.0 / a[u]);
   }
-  EXPECT_LT(MatMul(mtm, gv).MaxAbsDiff(Matrix::Identity(6)), 1e-8);
+  EXPECT_LT(spectral.MaxAbsDiff(mtm), 1e-12);
+  EXPECT_LT(MatMul(inverse, mtm).MaxAbsDiff(Matrix::Identity(6)), 1e-12);
 }
 
 TEST(MarginalsAlgebra, TraceObjectiveMatchesExplicit) {
@@ -95,38 +145,118 @@ TEST(MarginalsAlgebra, TraceObjectiveMatchesExplicit) {
   for (auto& v : theta) v = rng.Uniform(0.2, 1.0);
   UnionWorkload w = UpToKWayMarginals(d, 2);
 
-  Vector tau = alg.WorkloadTraceVector(w);
-  double tr = alg.TraceObjective(theta, tau);
+  double tr = alg.TraceObjective(theta, alg.EigenspaceTraces(w));
 
   Matrix m = ExplicitMarginalsMatrix(d, theta);
   Matrix ref_gram = Gram(w.Explicit());
   double ref = TracePinvGram(Gram(m), ref_gram);
-  EXPECT_NEAR(tr, ref, 1e-6 * std::fabs(ref));
+  EXPECT_NEAR(tr, ref, 1e-10 * std::fabs(ref));
 }
 
 TEST(OptMarginals, GradientMatchesFiniteDifference) {
-  Domain d({3, 4});
-  UnionWorkload w = AllMarginals(d);
-  MarginalsAlgebra alg({3, 4});
-  Vector tau = alg.WorkloadTraceVector(w);
+  // Central differences of T(theta) = tr[(M^T M)^+ W^T W] against the
+  // subset-sum gradient, at random theta and with theta_full at the
+  // min_full_weight floor relative to the largest weight.
+  const Domain d({2, 3, 4});
+  MarginalsAlgebra alg(d.sizes());
+  for (const UnionWorkload& w : {UpToKWayMarginals(d, 2), AllMarginals(d)}) {
+    const Vector gamma = alg.EigenspaceTraces(w);
+    for (double full_ratio : {1.0, 1e-4}) {
+      Rng rng(4);
+      Vector theta(8);
+      for (auto& v : theta) v = rng.Uniform(0.2, 1.2);
+      theta[7] = full_ratio * *std::max_element(theta.begin(), theta.end());
+      Vector grad;
+      const double t = alg.TraceObjective(theta, gamma, &grad);
+      ASSERT_TRUE(std::isfinite(t));
+      ASSERT_EQ(grad.size(), 8u);
+      for (uint32_t s = 0; s < 8; ++s) {
+        const double h = 1e-5 * theta[s];
+        Vector plus = theta, minus = theta;
+        plus[s] += h;
+        minus[s] -= h;
+        const double fd = (alg.TraceObjective(plus, gamma) -
+                           alg.TraceObjective(minus, gamma)) /
+                          (2.0 * h);
+        // Truncation error is O(h^2) relative; rounding in the difference
+        // quotient is a few ulps of t over h.
+        EXPECT_NEAR(grad[s], fd, 1e-7 * std::fabs(grad[s]) + 1e-12 * t / h)
+            << "mask " << s << " full_ratio " << full_ratio;
+      }
+    }
+  }
+}
 
-  // Recreate the OPT_M objective via public pieces: f(theta) =
-  // (sum theta)^2 * TraceObjective(theta).
-  auto f = [&](const Vector& theta) {
-    double s = Sum(theta);
-    return s * s * alg.TraceObjective(theta, tau);
-  };
-  Rng rng(4);
-  Vector theta(4);
-  for (auto& v : theta) v = rng.Uniform(0.3, 1.0);
+TEST(MarginalsStrategy, SquaredErrorIsExact) {
+  // The error promise on domains of <= 64 cells: against the explicit
+  // pseudo-inverse where M^T M is well conditioned, and against a brute-force
+  // eigenspace sum down to theta_full / max theta = 1e-12.
+  const std::vector<Domain> domains = {Domain({2, 3, 4}), Domain({4, 4, 4}),
+                                       Domain({2, 2, 2, 2, 2, 2})};
+  for (size_t k = 0; k < domains.size(); ++k) {
+    const Domain& d = domains[k];
+    std::vector<Matrix> prefix_blocks;
+    for (int64_t n : d.sizes()) prefix_blocks.push_back(PrefixBlock(n));
+    const std::vector<UnionWorkload> workloads = {
+        UpToKWayMarginals(d, 2), AllMarginals(d),
+        AllRangeMarginals(d, prefix_blocks)};
+    const int masks = 1 << d.NumAttributes();
+    Rng rng(40 + k);
+    for (size_t j = 0; j < workloads.size(); ++j) {
+      const UnionWorkload& w = workloads[j];
+      const Matrix gram_w = Gram(w.Explicit());
+      for (double full_ratio : {1.0, 1e-1, 1e-2, 1e-4, 1e-8, 1e-12}) {
+        Vector theta(static_cast<size_t>(masks));
+        for (auto& v : theta) v = rng.Uniform(0.2, 1.2);
+        theta.back() =
+            full_ratio * *std::max_element(theta.begin(), theta.end());
+        const MarginalsStrategy strategy(d, theta);
+        const double sens = strategy.Sensitivity();
+        const double err = strategy.SquaredError(w);
+        const double brute = sens * sens * BruteForceTrace(w, theta);
+        EXPECT_NEAR(err, brute, 1e-10 * brute)
+            << "domain " << k << " workload " << j << " ratio " << full_ratio;
+        if (full_ratio >= 1e-2) {
+          const double pinv =
+              sens * sens *
+              TracePinvGram(Gram(ExplicitMarginalsMatrix(d, theta)), gram_w);
+          EXPECT_NEAR(err, pinv, 1e-9 * pinv)
+              << "domain " << k << " workload " << j << " ratio "
+              << full_ratio;
+        }
+      }
+    }
+  }
+}
 
-  // Finite-difference the OptMarginals objective indirectly by comparing a
-  // one-step OptMarginals run's internal gradient: we instead check that the
-  // objective is smooth and the optimizer decreases it.
-  OptMarginalsOptions opts;
-  opts.lbfgs.max_iterations = 60;
-  OptMarginalsResult res = OptMarginals(w, opts, &rng);
-  EXPECT_LT(res.error, f(theta));  // Optimized beats an arbitrary point.
+TEST(MarginalsStrategy, WithoutFullTable) {
+  // Weights only on masks of <= 2 bits: M^T M is singular, yet it supports
+  // the up-to-2-way marginals, whose error and reconstruction go through
+  // the pseudo-inverse; the 3-way marginal is not supported.
+  const Domain d({3, 4, 5});
+  Rng rng(8);
+  Vector theta(8, 0.0);
+  for (uint32_t m = 0; m < 7; ++m) {
+    if (PopCount(m) <= 2) theta[m] = rng.Uniform(0.3, 1.0);
+  }
+  const MarginalsStrategy strategy(d, theta);
+  const Matrix m = ExplicitMarginalsMatrix(d, theta);
+  const UnionWorkload w = UpToKWayMarginals(d, 2);
+  const double sens = strategy.Sensitivity();
+  const double ref = sens * sens * TracePinvGram(Gram(m), Gram(w.Explicit()));
+  EXPECT_NEAR(strategy.SquaredError(w), ref, 1e-9 * ref);
+
+  Vector y(static_cast<size_t>(m.rows()));
+  for (auto& v : y) v = rng.Uniform(-1.0, 1.0);
+  const Vector xhat = strategy.Reconstruct(y);
+  const Vector dense = MatVec(PseudoInverse(m), y);
+  ASSERT_EQ(xhat.size(), dense.size());
+  for (size_t i = 0; i < dense.size(); ++i) {
+    EXPECT_NEAR(xhat[i], dense[i], 1e-10) << "cell " << i;
+  }
+
+  EXPECT_EQ(strategy.SquaredError(AllMarginals(d)),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(OptMarginals, NeverWorseThanFullTable) {
@@ -139,8 +269,7 @@ TEST(OptMarginals, NeverWorseThanFullTable) {
   MarginalsAlgebra alg({4, 4, 4});
   Vector full_only(8, 0.0);
   full_only[7] = 1.0;
-  Vector tau = alg.WorkloadTraceVector(w);
-  double id_err = alg.TraceObjective(full_only, tau);
+  double id_err = alg.TraceObjective(full_only, alg.EigenspaceTraces(w));
   EXPECT_LE(res.error, id_err + 1e-9);
 }
 
@@ -155,7 +284,7 @@ TEST(OptMarginals, RandomStartNeverWorseThanFullTable) {
   Vector full_only(8, 0.0);
   full_only[7] = 1.0;
   const double id_err =
-      alg.TraceObjective(full_only, alg.WorkloadTraceVector(w));
+      alg.TraceObjective(full_only, alg.EigenspaceTraces(w));
   for (uint64_t seed = 0; seed < 5; ++seed) {
     Rng rng(seed);
     OptMarginalsResult res = OptMarginals(w, opts, &rng);
@@ -177,8 +306,7 @@ TEST(OptMarginals, BeatsFullTableOnLargerDomains) {
   MarginalsAlgebra alg({10, 10, 10, 10});
   Vector full_only(16, 0.0);
   full_only[15] = 1.0;
-  Vector tau = alg.WorkloadTraceVector(w);
-  double id_err = alg.TraceObjective(full_only, tau);
+  double id_err = alg.TraceObjective(full_only, alg.EigenspaceTraces(w));
   EXPECT_LT(res.error, 0.5 * id_err);
 }
 

@@ -295,70 +295,89 @@ TEST(Proposition3, CWeightClosedForm) {
   EXPECT_DOUBLE_EQ(algebra.CWeight(0b110), 2.0);   // zero bit: size 2.
 }
 
-// --- Proposition 4: G(u) G(v) = G(X(u) v). ---------------------------------
+// --- Proposition 4 in the eigenbasis: every C(a), hence every G(v), is -----
+// diagonal in E_U = kron_i (Q_i if bit_i(U) else P_i), P_i = 11^T / n_i.
+
+// Explicit G(theta^2) = sum_a theta_a^2 C(a) = M(theta)^T M(theta).
+Matrix ExplicitGram(const std::vector<int64_t>& sizes, const Vector& theta) {
+  const int64_t cells = Domain(sizes).TotalSize();
+  Matrix acc = Matrix::Zeros(cells, cells);
+  for (uint32_t mask = 0; mask < theta.size(); ++mask) {
+    std::vector<Matrix> factors;
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      factors.push_back(((mask >> i) & 1) ? IdentityBlock(sizes[i])
+                                          : Matrix::Ones(sizes[i], sizes[i]));
+    }
+    acc.AddInPlace(KronExplicit(factors), theta[mask] * theta[mask]);
+  }
+  return acc;
+}
+
+// sum_U f_U E_U, explicitly.
+Matrix ExplicitSpectral(const std::vector<int64_t>& sizes, const Vector& f) {
+  const int64_t cells = Domain(sizes).TotalSize();
+  Matrix acc = Matrix::Zeros(cells, cells);
+  for (uint32_t u = 0; u < f.size(); ++u) {
+    std::vector<Matrix> factors;
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      const int64_t n = sizes[i];
+      Matrix p = MatScale(Matrix::Ones(n, n), 1.0 / static_cast<double>(n));
+      Matrix q = IdentityBlock(n);
+      q.AddInPlace(p, -1.0);
+      factors.push_back(((u >> i) & 1) ? q : p);
+    }
+    acc.AddInPlace(KronExplicit(factors), f[u]);
+  }
+  return acc;
+}
 
 class Proposition4Test : public ::testing::TestWithParam<int> {};
 
 TEST_P(Proposition4Test, GAlgebraClosedUnderProducts) {
+  // M^T M = sum_U a_U E_U and (sum_U E_U / a_U) M^T M = I; the product of
+  // two such Grams has eigenvalues a_U b_U, so it stays in the algebra.
   Rng rng(static_cast<uint64_t>(500 + GetParam()));
   const std::vector<int64_t> sizes = {2, 3, 2};
   MarginalsAlgebra algebra(sizes);
+  Vector theta(8), phi(8);
+  for (double& x : theta) x = rng.Uniform(0.1, 1.5);
+  for (double& x : phi) x = rng.Uniform(0.0, 1.5);
 
-  auto explicit_g = [&](const Vector& v) {
-    Matrix acc = Matrix::Zeros(12, 12);
-    for (uint32_t mask = 0; mask < 8; ++mask) {
-      std::vector<Matrix> factors;
-      for (int i = 0; i < 3; ++i) {
-        const int64_t n = sizes[static_cast<size_t>(i)];
-        factors.push_back(((mask >> i) & 1) ? IdentityBlock(n)
-                                            : Matrix::Ones(n, n));
-      }
-      Matrix c = KronExplicit(factors);
-      c.ScaleInPlace(v[mask]);
-      acc.AddInPlace(c, 1.0);
-    }
-    return acc;
-  };
-
-  Vector u(8), v(8);
-  for (double& x : u) x = rng.Uniform(0.0, 2.0);
-  for (double& x : v) x = rng.Uniform(0.0, 2.0);
-
-  const Matrix lhs = MatMul(explicit_g(u), explicit_g(v));
-  const Matrix rhs = explicit_g(MatVec(algebra.BuildX(u), v));
-  EXPECT_LT(lhs.MaxAbsDiff(rhs), 1e-8);
+  const Matrix mtm = ExplicitGram(sizes, theta);
+  const Vector a = algebra.Eigenvalues(theta);
+  const Vector b = algebra.Eigenvalues(phi);
+  Vector inv_a(8), ab(8);
+  for (uint32_t u = 0; u < 8; ++u) {
+    inv_a[u] = 1.0 / a[u];
+    ab[u] = a[u] * b[u];
+  }
+  EXPECT_LT(ExplicitSpectral(sizes, a).MaxAbsDiff(mtm), 1e-10);
+  EXPECT_LT(MatMul(ExplicitSpectral(sizes, inv_a), mtm)
+                .MaxAbsDiff(Matrix::Identity(12)),
+            1e-10);
+  EXPECT_LT(MatMul(mtm, ExplicitGram(sizes, phi))
+                .MaxAbsDiff(ExplicitSpectral(sizes, ab)),
+            1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Proposition4Test, ::testing::Range(0, 8));
 
-TEST(Proposition4, InverseWeightsInvertG) {
-  // G(v) = G(u)^{-1} when X(u) v = e_full — the O(4^d) pseudo-inverse trick
-  // behind OPT_M's RECONSTRUCT (Section 7.2).
+TEST(Proposition4, EigenvaluesInvertG) {
+  // G(u) G(v) = I when v's eigenvalues are 1/a_U for u = theta^2 — the
+  // inverse behind OPT_M's RECONSTRUCT (Section 7.2).
   const std::vector<int64_t> sizes = {2, 3};
   MarginalsAlgebra algebra(sizes);
   Rng rng(9);
-  Vector u(4);
-  for (double& x : u) x = rng.Uniform(0.2, 1.5);  // u_full > 0.
+  Vector theta(4);
+  for (double& x : theta) x = rng.Uniform(0.4, 1.2);  // theta_full > 0.
 
-  auto explicit_g = [&](const Vector& v) {
-    Matrix acc = Matrix::Zeros(6, 6);
-    for (uint32_t mask = 0; mask < 4; ++mask) {
-      std::vector<Matrix> factors;
-      for (int i = 0; i < 2; ++i) {
-        const int64_t n = sizes[static_cast<size_t>(i)];
-        factors.push_back(((mask >> i) & 1) ? IdentityBlock(n)
-                                            : Matrix::Ones(n, n));
-      }
-      Matrix c = KronExplicit(factors);
-      c.ScaleInPlace(v[mask]);
-      acc.AddInPlace(c, 1.0);
-    }
-    return acc;
-  };
-
-  const Vector v = algebra.InverseWeights(u);
-  const Matrix product = MatMul(explicit_g(u), explicit_g(v));
-  EXPECT_LT(product.MaxAbsDiff(Matrix::Identity(6)), 1e-9);
+  const Vector a = algebra.Eigenvalues(theta);
+  Vector inv_a(4);
+  for (uint32_t u = 0; u < 4; ++u) inv_a[u] = 1.0 / a[u];
+  const Matrix gram = ExplicitGram(sizes, theta);
+  EXPECT_LT(ExplicitSpectral(sizes, a).MaxAbsDiff(gram), 1e-12);
+  const Matrix product = MatMul(gram, ExplicitSpectral(sizes, inv_a));
+  EXPECT_LT(product.MaxAbsDiff(Matrix::Identity(6)), 1e-12);
 }
 
 // --- Theorem 4 / 8: the O(pN^2) objective equals the O(N^3) reference. -----
